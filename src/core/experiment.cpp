@@ -1,9 +1,12 @@
 #include "core/experiment.hpp"
 
+#include <cmath>
 #include <iterator>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <stdexcept>
+#include <string>
 
 #include "core/dataset_cache.hpp"
 #include "core/parallel.hpp"
@@ -147,15 +150,13 @@ void addBackendProbes(obs::MetricsRegistry& registry, mw::DatabaseServer& backen
       [&backend] { return static_cast<double>(backend.statementsProcessed()); });
 }
 
-}  // namespace
-
-ExperimentResult runExperiment(const ExperimentParams& params) {
+/// One run on the given database copies, one per database backend: wires
+/// the topology around them, runs the phases and collects the result. Every
+/// object that refers to a copy is gone once this returns.
+ExperimentResult simulate(const ExperimentParams& params, const Topology& topo,
+                          std::span<db::Database> databases) {
   sim::Simulation simulation(params.seed);
   net::Network network(simulation);
-
-  const Topology topo =
-      params.topology ? *params.topology : canonicalTopology(params.config);
-  validateTopology(topo);
 
   // Machines. The client farm gets an effectively infinite NIC — the paper
   // uses "enough client emulation machines" that clients never bottleneck;
@@ -172,30 +173,18 @@ ExperimentResult runExperiment(const ExperimentParams& params) {
     ejbMachines = makeTier(simulation, kEjbTier, topo.ejb);
   }
 
-  // Database content: every backend gets its own private clone of the
-  // cached prototype for (app, scale, population seed) — identical to
-  // populating each from scratch with the same Rng, minus the population
-  // cost on every run but the first (see DatasetCache).
   apps::bookstore::Scale bookScale;
   bookScale.scale = params.bookstoreScale;
   apps::auction::Scale auctionScale;
   auctionScale.historyScale = params.auctionHistoryScale;
   apps::bbs::Scale bbsScale;
   bbsScale.historyScale = params.bbsHistoryScale;
-  const double appScale = params.app == App::Bookstore ? params.bookstoreScale
-                          : params.app == App::Auction ? params.auctionHistoryScale
-                                                       : params.bbsHistoryScale;
-  const std::uint64_t dataSeed =
-      params.dataSeed != 0 ? params.dataSeed : sim::deriveSeed(params.seed, /*tag=*/0xDB);
-  std::vector<db::Database> databases;
-  databases.reserve(dbMachines.size());
   std::size_t databaseBytes = 0;
   for (std::size_t i = 0; i < dbMachines.size(); ++i) {
-    databases.push_back(DatasetCache::global().get(params.app, appScale, dataSeed));
     // Coarse memory accounting (paper §5.1 / §6.1): each replica holds its
     // own full copy of the tables plus server overhead — replicated
     // databases multiply the footprint, they do not share it.
-    const std::size_t bytes = databases.back().approxBytes();
+    const std::size_t bytes = databases[i].approxBytes();
     databaseBytes += bytes;
     dbMachines[i]->addMemory(topo.db.memoryBytes != 0
                                  ? topo.db.memoryBytes
@@ -218,8 +207,7 @@ ExperimentResult runExperiment(const ExperimentParams& params) {
 
   std::vector<net::Machine*> dbMachinePtrs;
   for (auto& m : dbMachines) dbMachinePtrs.push_back(m.get());
-  mw::DbCluster dbCluster(simulation, params.cost, topo.dbPolicy, dbMachinePtrs,
-                          std::move(databases));
+  mw::DbCluster dbCluster(simulation, params.cost, topo.dbPolicy, dbMachinePtrs, databases);
 
   // Business logic.
   std::unique_ptr<mw::SqlBusinessLogic> sqlLogic;
@@ -493,6 +481,57 @@ ExperimentResult runExperiment(const ExperimentParams& params) {
     report.verdict = obs::analyze(report, result.trace.get(), from, to);
     result.metrics = std::make_shared<const obs::MetricsReport>(std::move(report));
     simulation.setMetrics(nullptr);
+  }
+  return result;
+}
+
+}  // namespace
+
+double ExperimentParams::datasetScale() const {
+  switch (app) {
+    case App::Bookstore: return bookstoreScale;
+    case App::Auction: return auctionHistoryScale;
+    case App::BulletinBoard: return bbsHistoryScale;
+  }
+  return bookstoreScale;
+}
+
+void ExperimentParams::validate() const {
+  const auto reject = [](const std::string& what) {
+    throw std::invalid_argument("ExperimentParams: " + what);
+  };
+  if (measure <= 0) reject("measure must be positive");
+  if (rampUp < 0) reject("rampUp must not be negative");
+  if (rampDown < 0) reject("rampDown must not be negative");
+  if (clients < 0) reject("clients must not be negative");
+  const double scale = datasetScale();
+  if (!std::isfinite(scale) || scale <= 0) {
+    reject("the dataset scale must be finite and positive, got " + std::to_string(scale));
+  }
+}
+
+ExperimentResult runExperiment(const ExperimentParams& params) {
+  params.validate();
+  const Topology topo =
+      params.topology ? *params.topology : canonicalTopology(params.config);
+  validateTopology(topo);
+
+  // Database content: every backend gets its own private copy of the cached
+  // prototype for (app, scale, population seed) — identical to populating
+  // each from scratch with the same Rng, minus the population cost on every
+  // run but the first and the copying cost once the cache has pooled a copy
+  // per backend (see DatasetCache).
+  const double scale = params.datasetScale();
+  const std::uint64_t dataSeed =
+      params.dataSeed != 0 ? params.dataSeed : sim::deriveSeed(params.seed, /*tag=*/0xDB);
+  std::vector<db::Database> databases;
+  databases.reserve(static_cast<std::size_t>(topo.db.replicas));
+  for (int i = 0; i < topo.db.replicas; ++i) {
+    databases.push_back(DatasetCache::global().get(params.app, scale, dataSeed));
+  }
+  ExperimentResult result = simulate(params, topo, databases);
+  for (db::Database& copy : databases) {
+    DatasetCache::global().put(params.app, scale, dataSeed, std::move(copy));
   }
   return result;
 }

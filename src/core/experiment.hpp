@@ -81,6 +81,15 @@ struct ExperimentParams {
   /// ArrivalMode::OpenLoop the `clients` field is ignored (load is set by
   /// scenario.arrivals) but still part of the sweep-point coordinates.
   scenario::Spec scenario;
+
+  /// The scale knob of `app`'s dataset, which keys the dataset cache.
+  double datasetScale() const;
+
+  /// Throws std::invalid_argument unless `measure` is positive, `rampUp`,
+  /// `rampDown` and `clients` are not negative (open-loop runs use 0
+  /// clients), and datasetScale() is finite and positive. runExperiment
+  /// calls it before touching the dataset cache.
+  void validate() const;
 };
 
 /// Everything a bench needs to print one figure row.
@@ -163,10 +172,11 @@ struct ExperimentResult {
   }
 };
 
-/// Runs one full experiment: builds the topology for the configuration,
-/// clones the populated database from the dataset cache, ramps up,
-/// measures, ramps down. Safe to call concurrently from multiple threads —
-/// each call owns its whole simulation substrate.
+/// Runs one full experiment: validates the params, takes a private copy of
+/// the populated database per database backend from the dataset cache,
+/// builds the topology for the configuration, ramps up, measures, ramps
+/// down, and returns the copies to the cache. Safe to call concurrently
+/// from multiple threads — each call owns its whole simulation substrate.
 ExperimentResult runExperiment(const ExperimentParams& params);
 
 /// Seed for one sweep point, derived as hash(rootSeed, app, mix, config,

@@ -30,6 +30,19 @@ class Database {
     return out;
   }
 
+  /// Makes the current content the state rollback() returns to; from here
+  /// on every table records its writes (Table::checkpoint).
+  void checkpoint() {
+    for (auto& [_, t] : tables_) t->checkpoint();
+  }
+
+  /// Undoes every write since checkpoint(). The database is then
+  /// state-identical to the checkpoint, so a rolled-back copy of a cached
+  /// prototype behaves exactly like a fresh clone of it.
+  void rollback() {
+    for (auto& [_, t] : tables_) t->rollback();
+  }
+
   Table& createTable(TableSchema schema) {
     const std::string name = schema.name;
     mixSchema(schema);

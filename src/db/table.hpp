@@ -26,18 +26,34 @@ class Table {
   explicit Table(TableSchema schema);
   Table& operator=(const Table&) = delete;
 
-  /// Exact deep copy — rows, tombstones, indexes, and auto-increment state —
-  /// so a cloned table behaves identically to one repopulated from the same
-  /// seed. Used by the dataset cache to stamp out per-run databases.
+  /// Exact deep copy — rows, tombstones, indexes, auto-increment state and
+  /// undo log — so a cloned table behaves identically to one repopulated
+  /// from the same seed. Used by the dataset cache to stamp out per-run
+  /// databases.
   std::unique_ptr<Table> clone() const {
     return std::unique_ptr<Table>(new Table(*this));
   }
+
+  /// Makes the current content the state rollback() returns to: from here
+  /// on, insert, updateCell and erase record what they change, including a
+  /// write that throws part way. Discards any earlier record.
+  void checkpoint();
+
+  /// Undoes every write since checkpoint(), newest first, and keeps
+  /// recording. The table is then state-identical to the checkpoint: the
+  /// same rows (value types included), tombstones, pk map, auto-increment
+  /// state, and the same order of equal keys in every secondary index.
+  /// Without a checkpoint there is nothing to undo.
+  void rollback();
 
   const TableSchema& schema() const noexcept { return schema_; }
   const std::string& name() const noexcept { return schema_.name; }
 
   /// Number of live rows.
   std::size_t size() const noexcept { return liveRows_; }
+
+  /// Row slots, live and tombstoned: RowIds run from 0 to rowSlots() - 1.
+  std::size_t rowSlots() const noexcept { return rows_.size(); }
 
   /// Inserts a row. If the table has an auto-increment key and the key slot
   /// is NULL, a fresh id is assigned. Returns the id of the inserted row's
@@ -126,8 +142,29 @@ class Table {
  private:
   Table(const Table&) = default;  // via clone() only
 
+  /// One write recorded after checkpoint(), with what undoing it needs.
+  struct Undo {
+    enum class Kind : std::uint8_t {
+      Counters,  // insert: restore nextAutoId_ and lastInsertId_
+      Append,    // insert: drop the row it appended
+      Update,    // updateCell: put `old` back into (id, column)
+      Erase,     // erase: revive the row
+    };
+    Kind kind = Kind::Counters;
+    RowId id = 0;
+    std::size_t column = 0;
+    Value old{};
+    std::int64_t nextAutoId = 0;
+    std::int64_t lastInsertId = 0;
+    /// The row's position in its equal-key range: for Update in the
+    /// column's index (if it has one), for Erase in every secondary index.
+    std::vector<std::size_t> ranks{};
+  };
+
   void indexInsert(RowId id);
-  void indexErase(RowId id);
+  /// Removes the row's index entries; returns each secondary entry's rank.
+  std::vector<std::size_t> indexErase(RowId id);
+  void undo(Undo& u);
 
   TableSchema schema_;
   std::vector<Row> rows_;
@@ -140,6 +177,9 @@ class Table {
   std::map<std::size_t, std::multimap<Value, RowId>> secondary_;
   std::int64_t nextAutoId_ = 1;
   std::int64_t lastInsertId_ = 0;
+
+  bool logging_ = false;  // set by checkpoint()
+  std::vector<Undo> undo_;
 };
 
 }  // namespace mwsim::db

@@ -220,21 +220,18 @@ class ClusterWriteScenario final : public Scenario {
         : sim(s),
           m0(s, "ClusterDb#1"),
           m1(s, "ClusterDb#2"),
-          cluster(s, cost, mw::DbPolicy::MasterReplica, {&m0, &m1},
-                  makeDatabases()) {
+          databases(2),
+          cluster(s, cost, mw::DbPolicy::MasterReplica, {&m0, &m1}, databases) {
       // Create the table locks up front so their mc ids depend only on
       // construction order, never on which actor reaches them first.
       cluster.backend(0).tableLock("items");
       cluster.backend(1).tableLock("items");
     }
-    static std::vector<db::Database> makeDatabases() {
-      std::vector<db::Database> dbs(2);
-      return dbs;
-    }
     sim::Simulation& sim;
     mw::CostModel cost;
     net::Machine m0;
     net::Machine m1;
+    std::vector<db::Database> databases;
     mw::DbCluster cluster;
   };
 

@@ -7,16 +7,16 @@ namespace mwsim::mw {
 
 DbCluster::DbCluster(sim::Simulation& simulation, const CostModel& cost, DbPolicy policy,
                      std::vector<net::Machine*> machines,
-                     std::vector<db::Database> databases)
-    : databases_(std::move(databases)), policy_(policy) {
-  if (machines.empty() || machines.size() != databases_.size()) {
-    throw std::invalid_argument("DbCluster needs one database clone per machine");
+                     std::span<db::Database> databases)
+    : policy_(policy) {
+  if (machines.empty() || machines.size() != databases.size()) {
+    throw std::invalid_argument("DbCluster needs one database copy per machine");
   }
-  owned_.reserve(databases_.size());
-  backends_.reserve(databases_.size());
-  for (std::size_t i = 0; i < databases_.size(); ++i) {
+  owned_.reserve(databases.size());
+  backends_.reserve(databases.size());
+  for (std::size_t i = 0; i < databases.size(); ++i) {
     owned_.push_back(
-        std::make_unique<DatabaseServer>(simulation, *machines[i], databases_[i], cost));
+        std::make_unique<DatabaseServer>(simulation, *machines[i], databases[i], cost));
     backends_.push_back(owned_.back().get());
   }
   if (backends_.size() > 1) {

@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "db/database.hpp"
@@ -42,11 +43,11 @@ class DbCluster {
   /// single-server path.
   explicit DbCluster(DatabaseServer& server) : backends_{&server} {}
 
-  /// Owning mode: one DatabaseServer per (machine, database clone) pair.
-  /// `machines` and `databases` must be the same length; the databases are
-  /// moved into stable storage here so the servers can hold references.
+  /// Owning mode: one DatabaseServer per (machine, database copy) pair.
+  /// `machines` and `databases` must be the same length. The databases stay
+  /// the caller's and must outlive the cluster, whose servers refer to them.
   DbCluster(sim::Simulation& simulation, const CostModel& cost, DbPolicy policy,
-            std::vector<net::Machine*> machines, std::vector<db::Database> databases);
+            std::vector<net::Machine*> machines, std::span<db::Database> databases);
 
   DbCluster(const DbCluster&) = delete;
   DbCluster& operator=(const DbCluster&) = delete;
@@ -74,10 +75,7 @@ class DbCluster {
   sim::Mutex* writeStream() noexcept { return writeStream_.get(); }
 
  private:
-  // Owning mode only; sized once in the constructor, never resized, so the
-  // DatabaseServer references into it stay valid.
-  std::vector<db::Database> databases_;
-  std::vector<std::unique_ptr<DatabaseServer>> owned_;
+  std::vector<std::unique_ptr<DatabaseServer>> owned_;  // owning mode only
   std::vector<DatabaseServer*> backends_;
   DbPolicy policy_ = DbPolicy::MasterReplica;
   std::size_t nextRead_ = 0;

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
+#include <limits>
+#include <stdexcept>
+
+#include "core/dataset_cache.hpp"
 #include "core/experiment.hpp"
 #include "workload/client.hpp"
 
@@ -125,6 +131,46 @@ TEST(ExperimentTest, MixNamesResolve) {
   EXPECT_STREQ(mixName(App::Bookstore, 2), "ordering");
   EXPECT_STREQ(mixName(App::Auction, 0), "browsing");
   EXPECT_STREQ(mixName(App::Auction, 1), "bidding");
+}
+
+TEST(ExperimentTest, InvalidParamsAreRejectedBeforeTheDatasetCache) {
+  const auto valid = [] {
+    auto p = smallParams(Configuration::WsPhpDb, App::Auction, 1, 10);
+    p.dataSeed = 0x1A11D;  // a key no run has built
+    return p;
+  };
+  const auto builds = DatasetCache::global().builds();
+  const std::vector<std::function<void(ExperimentParams&)>> bad = {
+      [](ExperimentParams& p) { p.measure = 0; },  // was a -nan ipm row
+      [](ExperimentParams& p) { p.measure = -sim::kSecond; },
+      [](ExperimentParams& p) { p.rampUp = -1; },
+      [](ExperimentParams& p) { p.rampDown = -1; },
+      [](ExperimentParams& p) { p.clients = -5; },
+      [](ExperimentParams& p) { p.auctionHistoryScale = 0; },
+      [](ExperimentParams& p) { p.auctionHistoryScale = -0.1; },
+      [](ExperimentParams& p) { p.auctionHistoryScale = std::nan(""); },
+      [](ExperimentParams& p) {
+        p.auctionHistoryScale = std::numeric_limits<double>::infinity();
+      },
+      [](ExperimentParams& p) {
+        p.app = App::Bookstore;
+        p.bookstoreScale = 0;
+      },
+  };
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    auto p = valid();
+    bad[i](p);
+    EXPECT_THROW(p.validate(), std::invalid_argument) << "case " << i;
+    EXPECT_THROW(runExperiment(p), std::invalid_argument) << "case " << i;
+  }
+  EXPECT_EQ(DatasetCache::global().builds(), builds) << "rejected before any get()";
+
+  auto openLoop = valid();
+  openLoop.clients = 0;  // open-loop runs set their load elsewhere
+  EXPECT_NO_THROW(openLoop.validate());
+  auto otherApp = valid();
+  otherApp.bookstoreScale = 0;  // only the run's own dataset scale counts
+  EXPECT_NO_THROW(otherApp.validate());
 }
 
 TEST(ExperimentTest, BrowsingMixHasNoWrites) {

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <random>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "db/database.hpp"
 #include "db/executor.hpp"
@@ -142,6 +147,202 @@ TEST(TableTest, EraseRemovesFromIndexes) {
   int visited = 0;
   t.forEachRow([&](RowId) { ++visited; });
   EXPECT_EQ(visited, 1);
+}
+
+// ---------------------------------------------------------------- Rollback
+
+/// Equal values of the same type (Value's == equates 1 and 1.0).
+bool sameValue(const Value& a, const Value& b) {
+  return a.isNull() == b.isNull() && a.isInt() == b.isInt() &&
+         a.isDouble() == b.isDouble() && a.compare(b) == 0;
+}
+
+/// Every observable of two tables: rows with their value types and
+/// liveness, the (key, RowId) order of every secondary index, pk lookups,
+/// and the counters.
+void expectSameTable(const Table& a, const Table& b) {
+  ASSERT_EQ(a.rowSlots(), b.rowSlots());
+  for (RowId id = 0; id < a.rowSlots(); ++id) {
+    ASSERT_EQ(a.isLive(id), b.isLive(id)) << "row " << id;
+    ASSERT_EQ(a.row(id).size(), b.row(id).size());
+    for (std::size_t c = 0; c < a.row(id).size(); ++c) {
+      EXPECT_TRUE(sameValue(a.row(id)[c], b.row(id)[c])) << "row " << id << " column " << c;
+    }
+  }
+  for (const std::size_t c : a.schema().secondaryIndexes) {
+    const auto& ia = *a.orderedIndex(c);
+    const auto& ib = *b.orderedIndex(c);
+    ASSERT_EQ(ia.size(), ib.size()) << "index on column " << c;
+    for (auto x = ia.begin(), y = ib.begin(); x != ia.end(); ++x, ++y) {
+      ASSERT_TRUE(sameValue(x->first, y->first) && x->second == y->second)
+          << "index on column " << c << " differs at key " << x->first.toDisplayString();
+    }
+  }
+  const std::size_t pk = *a.schema().primaryKey;
+  for (RowId id = 0; id < a.rowSlots(); ++id) {
+    for (const Table* t : {&a, &b}) {
+      const Value& key = t->row(id)[pk];
+      EXPECT_EQ(a.findByPk(key), b.findByPk(key)) << "pk " << key.toDisplayString();
+    }
+  }
+  for (std::int64_t k = 0; k <= std::max(a.maxAssignedId(), b.maxAssignedId()) + 1; ++k) {
+    EXPECT_EQ(a.findByPk(Value(k)), b.findByPk(Value(k))) << "pk " << k;
+  }
+  EXPECT_EQ(a.size(), b.size());
+  EXPECT_EQ(a.approxBytes(), b.approxBytes());
+  EXPECT_EQ(a.lastInsertId(), b.lastInsertId());
+  EXPECT_EQ(a.maxAssignedId(), b.maxAssignedId());
+}
+
+/// Auto-increment pk, an int and a string secondary index with long
+/// equal-key ranges, tombstones, and one range out of RowId order.
+Database rollbackPrototype() {
+  Database db;
+  Table& t = db.createTable(SchemaBuilder("t")
+                                .intCol("id").primaryKey(/*autoIncrement=*/true)
+                                .intCol("grp").indexed()
+                                .stringCol("tag").indexed()
+                                .doubleCol("amount")
+                                .build());
+  std::mt19937_64 rng(99);
+  for (int i = 0; i < 200; ++i) {
+    const auto grp = static_cast<int>(rng() % 8);
+    const auto len = 1 + rng() % 3;
+    t.insert({Value(), Value(grp), Value(std::string(len, static_cast<char>('a' + rng() % 5))),
+              Value(i * 0.25)});
+  }
+  for (RowId id = 3; id < 200; id += 17) t.erase(id);
+  t.updateCell(5, 1, Value(3));
+  return db;
+}
+
+/// Applies one seeded sequence of writes to table t, through the Table API
+/// and through SQL, and returns every outcome (a key, a count, or -1 for a
+/// write that threw) so two runs of one sequence can be compared.
+std::vector<std::int64_t> applyWrites(Database& db, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  const auto pick = [&](std::uint64_t n) { return static_cast<std::int64_t>(rng() % n); };
+  const auto tag = [&] {
+    const auto len = static_cast<std::size_t>(1 + pick(3));  // cells change size
+    return Value(std::string(len, static_cast<char>('a' + pick(5))));
+  };
+  Table& t = db.table("t");
+  Executor exec(db);
+  std::vector<std::int64_t> out;
+  const auto attempt = [&](auto&& write) {
+    try {
+      out.push_back(write());
+    } catch (const std::runtime_error&) {
+      out.push_back(-1);
+    }
+  };
+  const auto liveRow = [&]() -> std::optional<RowId> {
+    const auto n = static_cast<RowId>(t.rowSlots());
+    const auto start = static_cast<RowId>(pick(n));
+    for (RowId i = 0; i < n; ++i) {
+      if (t.isLive((start + i) % n)) return (start + i) % n;
+    }
+    return std::nullopt;
+  };
+
+  // The cases a rollback most easily gets wrong, in every sequence.
+  // Erase a row inserted after the checkpoint.
+  const std::int64_t added = t.insert({Value(), Value(1), tag(), Value(1.5)});
+  out.push_back(added);
+  t.erase(*t.findByPk(Value(added)));
+  // Set indexed columns to their current values: the entries move to the
+  // ends of their key ranges.
+  const RowId same = *liveRow();
+  t.updateCell(same, 1, t.row(same)[1]);
+  t.updateCell(same, 2, t.row(same)[2]);
+  // Move a row's pk above the auto-increment counter, then INSERT that key:
+  // the insert advances the counter before its duplicate-key check throws.
+  const std::int64_t high = t.maxAssignedId() + 10 + pick(10);
+  t.updateCell(*liveRow(), 0, Value(high));
+  const Value highKey[] = {Value(high)};
+  attempt([&] {
+    return exec.query("INSERT INTO t (id, grp, tag, amount) VALUES (?, 0, 'a', 0.5)", highKey)
+        .lastInsertId;
+  });
+  EXPECT_EQ(out.back(), -1);
+  EXPECT_EQ(t.maxAssignedId(), high) << "the throwing insert must advance the counter";
+  // A multi-row UPDATE giving every row of a group one new pk: the first
+  // row takes it, the second gets its amount and then throws.
+  const Value groupKey[] = {Value(high + 1), Value(pick(8))};
+  attempt([&] {
+    return static_cast<std::int64_t>(
+        exec.query("UPDATE t SET amount = 7, id = ? WHERE grp = ?", groupKey).affectedRows);
+  });
+
+  for (int step = 0; step < 150; ++step) {
+    const std::optional<RowId> row = liveRow();
+    switch (pick(9)) {
+      case 0:
+      case 1:
+        attempt([&] { return t.insert({Value(), Value(pick(8)), tag(), Value(0.5 * step)}); });
+        break;
+      case 2:  // an existing key (throws) or one above the counter
+        attempt([&] {
+          const Value key = pick(2) == 0 ? Value(1 + pick(t.maxAssignedId()))
+                                         : Value(t.maxAssignedId() + 1 + pick(5));
+          return t.insert({key, Value(pick(8)), tag(), Value(2.5)});
+        });
+        break;
+      case 3:
+        if (row) t.updateCell(*row, 1, pick(3) == 0 ? t.row(*row)[1] : Value(pick(8)));
+        break;
+      case 4:
+        if (row) t.updateCell(*row, 2, tag());
+        break;
+      case 5:  // an int or NULL into the double column: the undo restores the type
+        if (row) {
+          const std::int64_t kind = pick(3);
+          const Value v = kind == 0 ? Value(pick(100)) : kind == 1 ? Value() : Value(0.75 * step);
+          t.updateCell(*row, 3, v);
+        }
+        break;
+      case 6:  // pk update to an existing key (throws) or a fresh one
+        if (row) {
+          attempt([&] {
+            const std::int64_t key = pick(2) == 0 ? 1 + pick(t.maxAssignedId())
+                                                  : t.maxAssignedId() + 100 + step;
+            t.updateCell(*row, 0, Value(key));
+            return key;
+          });
+        }
+        break;
+      case 7:
+        if (row) t.erase(*row);
+        break;
+      case 8: {  // multi-row index moves and deletes through SQL
+        const Value args[] = {Value(pick(8)), tag()};
+        out.push_back(static_cast<std::int64_t>(
+            exec.query("UPDATE t SET grp = ? WHERE tag = ?", args).affectedRows));
+        const Value del[] = {tag()};
+        out.push_back(static_cast<std::int64_t>(
+            exec.query("DELETE FROM t WHERE tag = ? LIMIT 2", del).affectedRows));
+        break;
+      }
+    }
+  }
+  return out;
+}
+
+TEST(RollbackTest, RestoresEveryObservableOfTheCheckpoint) {
+  const Database prototype = rollbackPrototype();
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Database copy = prototype.clone();
+    copy.checkpoint();
+    applyWrites(copy, seed);
+    copy.rollback();
+    expectSameTable(copy.table("t"), prototype.table("t"));
+    // Rolled back, the copy takes the next sequence exactly as a fresh
+    // clone does.
+    Database fresh = prototype.clone();
+    EXPECT_EQ(applyWrites(copy, seed + 1000), applyWrites(fresh, seed + 1000));
+    expectSameTable(copy.table("t"), fresh.table("t"));
+  }
 }
 
 // ------------------------------------------------------------------- Lexer

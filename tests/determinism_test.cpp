@@ -1,7 +1,8 @@
 /// Regression tests for the parallel-sweep determinism contract:
 ///
 ///  * runExperiment is a pure function of its params — repeated calls are
-///    bit-identical (the dataset cache hands out exact clones);
+///    bit-identical (the dataset cache hands out exact clones, or pooled
+///    copies rolled back to the prototype, which behave the same);
 ///  * a parallel sweep (jobs > 1) returns results bit-identical to the
 ///    sequential sweep, because every point's randomness derives only from
 ///    its own (config, clients) coordinates, never from scheduling;
@@ -13,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <vector>
 
 #include "core/dataset_cache.hpp"
@@ -84,8 +86,9 @@ TEST(DeterminismTest, RepeatedRunsAreBitIdentical) {
 }
 
 TEST(DeterminismTest, CachedCloneMatchesFreshPopulation) {
-  // The first run for a key populates the prototype; the second starts from
-  // a clone. If clone() missed any state, the pair diverges.
+  // The first run for a key populates the prototype and clones it; the
+  // second starts from that copy, rolled back. If clone() or rollback()
+  // missed any state, the pair diverges.
   auto p = tinyParams(App::Bookstore);
   p.config = Configuration::WsServletDb;
   p.seed = 7;
@@ -93,6 +96,48 @@ TEST(DeterminismTest, CachedCloneMatchesFreshPopulation) {
   const auto first = runExperiment(p);
   const auto again = runExperiment(p);
   expectIdentical(first, again);
+}
+
+/// Runs point A, then point B (another seed, same dataset key), then A
+/// again. Every run after the first of a key works on the copy its
+/// predecessor wrote to and the cache rolled back, so a write the rollback
+/// missed makes the second A diverge from the first, which ran on a fresh
+/// clone. `dataSeed` must be private to the caller.
+void expectIdenticalAfterAnotherPoint(ExperimentParams a, std::uint64_t dataSeed) {
+  a.dataSeed = dataSeed;
+  ExperimentParams b = a;
+  b.seed = a.seed + 1;
+  const auto first = runExperiment(a);
+  const auto other = runExperiment(b);
+  EXPECT_NE(first.meanResponseSeconds, other.meanResponseSeconds) << "B must run another point";
+  expectIdentical(first, runExperiment(a));
+}
+
+TEST(DatasetReuseTest, BookstoreShoppingAfterAnotherPoint) {
+  // Shopping's buy confirm DELETEs the cart lines: erase and its undo.
+  auto p = tinyParams(App::Bookstore);
+  p.config = Configuration::WsServletDb;
+  p.clients = 60;
+  expectIdenticalAfterAnotherPoint(p, 0xABA1);
+}
+
+TEST(DatasetReuseTest, AuctionBiddingAfterAnotherPoint) {
+  auto p = tinyParams(App::Auction);
+  p.config = Configuration::WsPhpDb;
+  p.clients = 60;
+  expectIdenticalAfterAnotherPoint(p, 0xABA2);
+}
+
+TEST(DatasetReuseTest, MasterReplicaAfterAnotherPoint) {
+  // Every write fans out to two copies, both pooled and rolled back.
+  auto p = tinyParams(App::Auction);
+  p.config = Configuration::WsPhpDb;
+  p.clients = 60;
+  Topology t = canonicalTopology(p.config);
+  t.db.replicas = 2;
+  t.dbPolicy = mw::DbPolicy::MasterReplica;
+  p.topology = t;
+  expectIdenticalAfterAnotherPoint(p, 0xABA3);
 }
 
 TEST(DeterminismTest, PointSeedDependsOnlyOnCoordinates) {
@@ -246,10 +291,29 @@ TEST(DatasetCacheTest, SweepSharesOneDataset) {
   base.seed = 1234;                 // fresh key for this test
   base.auctionHistoryScale = 0.02;  // distinct from the other tests' keys
   const auto before = cache.builds();
+  const auto clonesBefore = cache.clones();
   SweepOptions opts;
   opts.jobs = 2;
   (void)sweepClients(base, {10, 20, 30}, opts);
   EXPECT_EQ(cache.builds(), before + 1) << "all sweep points must share one prototype";
+  EXPECT_LE(cache.clones(), clonesBefore + 2) << "at most one copy per concurrent run";
+  const auto clonesAfterSweep = cache.clones();
+  (void)sweepClients(base, {15, 25}, SweepOptions{});
+  EXPECT_EQ(cache.clones(), clonesAfterSweep) << "later runs must reuse pooled copies";
+}
+
+TEST(DatasetCacheTest, CopyThatDoesNotRollBackIsNeverPooled) {
+  auto& cache = DatasetCache::global();
+  const double scale = 0.011;  // a key of this test's own
+  const std::uint64_t dataSeed = 0xBAD;
+  db::Database copy = cache.get(App::BulletinBoard, scale, dataSeed);
+  copy.table("categories").insert({db::Value(999), db::Value("extra")});
+  copy.checkpoint();  // forgets the insert, so rollback() keeps it
+  EXPECT_THROW(cache.put(App::BulletinBoard, scale, dataSeed, std::move(copy)),
+               std::logic_error);
+  const auto clones = cache.clones();
+  (void)cache.get(App::BulletinBoard, scale, dataSeed);
+  EXPECT_EQ(cache.clones(), clones + 1) << "the failed copy must not be pooled";
 }
 
 }  // namespace
