@@ -66,6 +66,12 @@ BenchOptions BenchOptions::parse(int argc, char** argv) {
   opts.noMetrics = argPresent(argc, argv, "--no-metrics");
   if (const char* v = argValue(argc, argv, "--trace-out")) opts.traceOut = v;
   if (const char* v = argValue(argc, argv, "--metrics-out")) opts.metricsOut = v;
+  if (opts.noMetrics && !opts.metricsOut.empty()) {
+    std::fprintf(stderr,
+                 "error: --no-metrics and --metrics-out conflict: --metrics-out writes "
+                 "the report that --no-metrics drops\n");
+    std::exit(2);
+  }
   if (opts.tracing() && !trace::kEnabled) {
     std::fprintf(stderr,
                  "note: built with -DMWSIM_TRACING=OFF; "
@@ -187,8 +193,8 @@ core::ExperimentParams BenchOptions::baseParams(const FigureSpec& spec) const {
   params.rampDown = sim::fromSeconds(5);
   params.bookstoreScale = fullScale ? 1.0 : 0.25;
   params.auctionHistoryScale = fullScale ? 1.0 : 0.10;
-  // Metrics are on by default: the layer is observation-only (results stay
-  // byte-identical), and every figure bench prints its bottleneck verdict.
+  // The metrics report is attached by default, so every figure bench prints
+  // its bottleneck verdict; every run samples either way.
   params.metrics.enabled = metrics();
   return params;
 }

@@ -46,8 +46,9 @@ struct FigureSpec {
 ///                     stream also carries the sampled counter tracks)
 ///   --metrics-out FILE  metrics JSON (series + verdict) for the first
 ///                     configuration's peak point
-///   --no-metrics      disable the metrics layer (it is on by default —
-///                     observation-only, results are byte-identical)
+///   --no-metrics      attach no metrics report and print no verdicts
+///                     (every run still samples; results are unchanged);
+///                     rejected together with --metrics-out
 struct BenchOptions {
   double measureSec = 60;
   /// Single source of truth is ExperimentParams::rampUp; this only exists

@@ -12,7 +12,8 @@
 #include "apps/bookstore/schema.hpp"
 #include "middleware/php_module.hpp"
 #include "middleware/web_server.hpp"
-#include "stats/sampler.hpp"
+#include "obs/machine.hpp"
+#include "obs/pump.hpp"
 #include "workload/client.hpp"
 
 int main(int argc, char** argv) {
@@ -45,26 +46,32 @@ int main(int argc, char** argv) {
   wl::ClientFarm farm(simulation, webServer, mix, clients, stats, 7);
   farm.start();
 
-  stats::Sampler sampler(simulation, sim::kSecond);
-  sampler.addMachine(&web);
-  sampler.addMachine(&dbMachine);
-  sampler.start();
+  // The metrics pump steps the simulation and snapshots both machines
+  // once a simulated second.
+  obs::MetricsRegistry registry;
+  obs::addMachineProbes(registry, web);
+  obs::addMachineProbes(registry, dbMachine);
+  obs::MetricsPump pump(simulation, registry);
 
   const sim::SimTime horizon = 90 * sim::kSecond;
   stats.measuring = true;
-  simulation.runUntil(horizon);
+  pump.runTo(horizon);
   simulation.shutdown();
 
+  const obs::MetricsReport report = pump.buildReport(0, horizon);
+  const auto& webCpu = *report.findUtilization("WebServer/cpu");
+  const auto& dbCpu = *report.findUtilization("Database/cpu");
   std::printf("bookstore shopping mix, %d clients (PHP configuration)\n", clients);
   std::printf("%-6s %-10s %-10s\n", "sec", "web cpu%", "db cpu%");
-  const auto& webSeries = sampler.series(0);
-  const auto& dbSeries = sampler.series(1);
-  for (std::size_t i = 0; i < webSeries.size(); i += 5) {
-    std::printf("%-6zu %-10.0f %-10.0f\n", i + 1, webSeries[i].cpuUtilization * 100,
-                dbSeries[i].cpuUtilization * 100);
+  for (std::size_t i = 1; i < report.times.size(); i += 5) {
+    const sim::SimTime from = report.times[i - 1];
+    const sim::SimTime to = report.times[i];
+    std::printf("%-6lld %-10.0f %-10.0f\n", static_cast<long long>(to / sim::kSecond),
+                report.meanUtilization(webCpu, from, to) * 100,
+                report.meanUtilization(dbCpu, from, to) * 100);
   }
-  std::printf("\nfraction of seconds 30..90 with db cpu > 90%%: %.0f%%\n",
-              sampler.fractionAbove(1, 0.9, 30 * sim::kSecond, horizon) * 100);
+  std::printf("\nfraction of seconds 30..90 with db cpu >= 90%%: %.0f%%\n",
+              report.fractionAbove(dbCpu, 0.9, 30 * sim::kSecond, horizon) * 100);
   std::printf("completed interactions: %llu; web-server error pages: %llu\n",
               static_cast<unsigned long long>(stats.completedInteractions),
               static_cast<unsigned long long>(webServer.errorCount()));

@@ -7,6 +7,8 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/dataset_cache.hpp"
 #include "core/parallel.hpp"
@@ -26,6 +28,7 @@
 #include "middleware/servlet_engine.hpp"
 #include "middleware/web_server.hpp"
 #include "obs/analyzer.hpp"
+#include "obs/machine.hpp"
 #include "obs/pump.hpp"
 #include "scenario/timeline.hpp"
 #include "workload/client.hpp"
@@ -89,30 +92,6 @@ std::vector<std::unique_ptr<net::Machine>> makeTier(sim::Simulation& simulation,
 std::uint64_t replicaSeed(std::uint64_t seed, int replica) {
   return replica == 0 ? seed
                       : sim::deriveSeed(seed, 0x5E71E7ULL + static_cast<std::uint64_t>(replica));
-}
-
-/// Registers the saturation instruments for one machine: CPU utilization,
-/// run-queue depth, and the Little's-law triple; NIC utilization, queue,
-/// throughput, and effective bandwidth (tracks LinkDegrade events).
-void addMachineProbes(obs::MetricsRegistry& registry, const net::Machine& m) {
-  const std::string& n = m.name();
-  registry.addUtilizationProbe(n + "/cpu", obs::ResourceKind::Cpu,
-                               static_cast<double>(m.cpu().cores()),
-                               [&m] { return m.cpu().busyCoreSeconds(); });
-  registry.addGaugeProbe(n + "/cpu.runq",
-                         [&m] { return static_cast<double>(m.cpu().activeJobs()); });
-  registry.addLittleProbe(n + "/cpu", [&m] { return m.cpu().jobIntegralSeconds(); },
-                          [&m] { return m.cpu().jobsCompleted(); },
-                          [&m] { return m.cpu().sojournSeconds(); });
-  registry.addUtilizationProbe(n + "/nic", obs::ResourceKind::Nic, 1.0,
-                               [&m] { return m.nic().busySeconds(); });
-  registry.addGaugeProbe(n + "/nic.queue",
-                         [&m] { return static_cast<double>(m.nic().queueLength()); });
-  registry.addUtilizationProbe(
-      n + "/nic.mbps", obs::ResourceKind::Rate, 1.0,
-      [&m] { return static_cast<double>(m.nic().bytesTransferred()) * 8.0 / 1e6; });
-  registry.addGaugeProbe(n + "/nic.effective_mbps",
-                         [&m] { return m.nic().effectiveBitsPerSecond() / 1e6; });
 }
 
 /// Registers the database-side instruments for one backend: the global
@@ -344,99 +323,88 @@ ExperimentResult simulate(const ExperimentParams& params, const Topology& topo,
     farm.start();
   }
 
-  // Usage metering, in the paper's figure order, one entry per instance.
-  stats::UsageWindow usage;
-  for (auto& m : webMachines) usage.addMachine(m.get(), kWebTier);
-  for (auto& m : dbMachines) usage.addMachine(m.get(), kDbTier);
-  for (auto& m : servletMachines) usage.addMachine(m.get(), kServletTier);
-  for (auto& m : ejbMachines) usage.addMachine(m.get(), kEjbTier);
+  // Server machines with their tiers, in the paper's figure order.
+  std::vector<std::pair<const net::Machine*, const char*>> servers;
+  for (auto& m : webMachines) servers.emplace_back(m.get(), kWebTier);
+  for (auto& m : dbMachines) servers.emplace_back(m.get(), kDbTier);
+  for (auto& m : servletMachines) servers.emplace_back(m.get(), kServletTier);
+  for (auto& m : ejbMachines) servers.emplace_back(m.get(), kEjbTier);
 
-  // Metrics layer (src/obs/): per-run registry, saturation probes across
-  // every layer, and the sampling pump. Everything here only *reads*
-  // simulation state, and the pump drives runUntil in period-sized steps
-  // instead of spawning a simulated process — so enabling metrics cannot
-  // perturb the event sequence (asserted byte-identical in metrics_test).
-  std::unique_ptr<obs::MetricsRegistry> registry;
-  std::unique_ptr<obs::MetricsPump> pump;
-  if constexpr (obs::kEnabled) {
-    if (params.metrics.enabled) {
-      registry = std::make_unique<obs::MetricsRegistry>();
-      simulation.setMetrics(registry.get());
-      for (auto& m : webMachines) addMachineProbes(*registry, *m);
-      for (auto& m : dbMachines) addMachineProbes(*registry, *m);
-      for (auto& m : servletMachines) addMachineProbes(*registry, *m);
-      for (auto& m : ejbMachines) addMachineProbes(*registry, *m);
-      for (std::size_t b = 0; b < dbCluster.size(); ++b) {
-        addBackendProbes(*registry, dbCluster.backend(b));
-      }
-      if (dbCluster.size() > 1) {
-        sim::Mutex* ws = dbCluster.writeStream();
-        registry->addUtilizationProbe("db-cluster/write-stream",
-                                      obs::ResourceKind::Stream, 1.0,
-                                      [ws] { return ws->busyUnitSeconds(); });
-        registry->addGaugeProbe("db-cluster/write-stream.queue", [ws] {
-          return static_cast<double>(ws->queueLength());
-        });
-        std::vector<std::string> backendNames;
-        for (std::size_t b = 0; b < dbCluster.size(); ++b) {
-          backendNames.push_back(dbCluster.backend(b).machine().name());
-        }
-        registry->initBackendReads(backendNames);
-      }
-      for (std::size_t i = 0; i < webServers.size(); ++i) {
-        const mw::WebServer& w = *webServers[i];
-        const std::string n = webMachines[i]->name();
-        registry->addUtilizationProbe(
-            n + "/httpd-pool", obs::ResourceKind::Pool,
-            static_cast<double>(w.processPool().capacity()),
-            [&w] { return w.processPool().busyUnitSeconds(); });
-        registry->addGaugeProbe(n + "/httpd-pool.queue", [&w] {
-          return static_cast<double>(w.processPool().queueLength());
-        });
-      }
-      if (balancer) {
-        const mw::LoadBalancer* lb = balancer.get();
-        for (std::size_t i = 0; i < lb->replicaCount(); ++i) {
-          registry->addGaugeProbe("lb/inflight." + webMachines[i]->name(),
-                                  [lb, i] {
-                                    return static_cast<double>(lb->picker().inflight(i));
-                                  });
-        }
-      }
-      registry->addGaugeProbe("kernel/pending-events", [&simulation] {
-        return static_cast<double>(simulation.pendingEvents());
-      });
-      stats.responseHist = &registry->histogram("response_sec");
-      // The pump takes its baseline snapshot now: every instrument must be
-      // registered above this line.
-      pump = std::make_unique<obs::MetricsPump>(simulation, *registry,
-                                                params.metrics.period);
-    }
+  // Observation (src/obs/): one registry per run with probes on every
+  // saturation point, and the pump that steps the kernel and samples them
+  // once a simulated second. Everything here only *reads* simulation state,
+  // and the pump steps runUntil instead of spawning a simulated process, so
+  // observing cannot perturb the event sequence. Machine usage, the verdict
+  // and the --metrics-out series all come from these snapshots.
+  obs::MetricsRegistry registry;
+  simulation.setMetrics(&registry);
+  for (const auto& [machine, tier] : servers) obs::addMachineProbes(registry, *machine);
+  for (std::size_t b = 0; b < dbCluster.size(); ++b) {
+    addBackendProbes(registry, dbCluster.backend(b));
   }
-
-  // Phases: ramp-up, measurement, ramp-down (paper §4.5). With metrics on,
-  // the pump splits each runUntil into period-sized steps; runUntil(t) runs
-  // all events with timestamp <= t and then advances the clock to t, so the
-  // split dispatches the identical event sequence.
-  const auto advanceTo = [&](sim::SimTime t) {
-    if (pump) {
-      pump->runTo(t);
-    } else {
-      simulation.runUntil(t);
+  if (dbCluster.size() > 1) {
+    sim::Mutex* ws = dbCluster.writeStream();
+    registry.addUtilizationProbe("db-cluster/write-stream", obs::ResourceKind::Stream, 1.0,
+                                 [ws] { return ws->busyUnitSeconds(); });
+    registry.addGaugeProbe("db-cluster/write-stream.queue",
+                           [ws] { return static_cast<double>(ws->queueLength()); });
+    std::vector<std::string> backendNames;
+    for (std::size_t b = 0; b < dbCluster.size(); ++b) {
+      backendNames.push_back(dbCluster.backend(b).machine().name());
     }
-  };
-  advanceTo(params.rampUp);
+    registry.initBackendReads(backendNames);
+  }
+  for (std::size_t i = 0; i < webServers.size(); ++i) {
+    const mw::WebServer& w = *webServers[i];
+    const std::string n = webMachines[i]->name();
+    registry.addUtilizationProbe(n + "/httpd-pool", obs::ResourceKind::Pool,
+                                 static_cast<double>(w.processPool().capacity()),
+                                 [&w] { return w.processPool().busyUnitSeconds(); });
+    registry.addGaugeProbe(n + "/httpd-pool.queue", [&w] {
+      return static_cast<double>(w.processPool().queueLength());
+    });
+  }
+  // The balancer and the open-loop farm keep their own counts.
+  if (balancer) {
+    const mw::LoadBalancer* lb = balancer.get();
+    for (std::size_t i = 0; i < lb->replicaCount(); ++i) {
+      registry.addGaugeProbe("lb/inflight." + webMachines[i]->name(), [lb, i] {
+        return static_cast<double>(lb->picker().inflight(i));
+      });
+    }
+    registry.addCounterProbe("lb.health_flips", [lb] { return lb->healthFlipCount(); });
+    registry.addCounterProbe("lb.reroutes", [lb] { return lb->rerouteCount(); });
+    registry.addCounterProbe("lb.timeouts", [lb] { return lb->timeoutCount(); });
+    registry.addCounterProbe("lb.errors", [lb] { return lb->errorCount(); });
+  }
+  if (openFarm) {
+    const wl::OpenLoopFarm* open = openFarm.get();
+    registry.addCounterProbe("wl.arrivals", [open] { return open->arrivals(); });
+    registry.addCounterProbe("wl.shed", [open] { return open->shedSessions(); });
+  }
+  registry.addGaugeProbe("kernel/pending-events", [&simulation] {
+    return static_cast<double>(simulation.pendingEvents());
+  });
+  registry.addHistogram("response_sec", stats.responseSeconds);
+  // The pump takes its baseline snapshot now: every instrument must be
+  // registered above this line.
+  obs::MetricsPump pump(simulation, registry);
+
+  // Phases: ramp-up, measurement, ramp-down (paper §4.5). The pump snapshots
+  // each phase edge, so the measurement window's usage is the difference of
+  // two snapshots.
+  const sim::SimTime windowStart = params.rampUp;
+  const sim::SimTime windowEnd = params.rampUp + params.measure;
+  pump.runTo(windowStart);
   stats.measuring = true;
   collector.setMeasuring(true);
-  usage.start(simulation.now());
-  advanceTo(params.rampUp + params.measure);
+  pump.runTo(windowEnd);
   stats.measuring = false;
   collector.setMeasuring(false);
-  usage.stop(simulation.now());
-  advanceTo(params.rampUp + params.measure + params.rampDown);
-  if (pump) pump->finish();  // tail-flush a partial final interval
+  pump.runTo(windowEnd + params.rampDown);
   // Tear down all client processes while every referenced object is alive.
   simulation.shutdown();
+  simulation.setMetrics(nullptr);
 
   ExperimentResult result;
   const double minutes = sim::toSeconds(params.measure) / 60.0;
@@ -446,7 +414,10 @@ ExperimentResult simulate(const ExperimentParams& params, const Topology& topo,
   result.throughputIpm = static_cast<double>(stats.completedInteractions) / minutes;
   result.meanResponseSeconds = stats.responseSeconds.mean();
   result.p90ResponseSeconds = stats.responseSeconds.percentile(90);
-  result.usage = usage.usage();
+  obs::MetricsReport report = pump.buildReport(windowStart, windowEnd);
+  for (const auto& [machine, tier] : servers) {
+    result.usage.push_back(obs::machineUsage(report, *machine, tier));
+  }
   result.tierUsage = stats::aggregateByTier(result.usage);
   for (const auto& [key, traffic] : network.matrix()) result.traffic[key] = traffic;
   for (std::size_t b = 0; b < dbCluster.size(); ++b) {
@@ -474,13 +445,9 @@ ExperimentResult simulate(const ExperimentParams& params, const Topology& topo,
   if (collector.enabled()) {
     result.trace = std::make_shared<const trace::Report>(collector.report());
   }
-  if (pump) {
-    const sim::SimTime from = params.rampUp;
-    const sim::SimTime to = params.rampUp + params.measure;
-    obs::MetricsReport report = pump->buildReport(from, to);
-    report.verdict = obs::analyze(report, result.trace.get(), from, to);
+  if (obs::kEnabled && params.metrics.enabled) {
+    report.verdict = obs::analyze(report, result.trace.get(), windowStart, windowEnd);
     result.metrics = std::make_shared<const obs::MetricsReport>(std::move(report));
-    simulation.setMetrics(nullptr);
   }
   return result;
 }

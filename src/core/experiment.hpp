@@ -67,12 +67,10 @@ struct ExperimentParams {
   /// decided.
   trace::Options trace;
 
-  /// Metrics layer (off by default): typed instruments sampled into aligned
-  /// time series by the metrics pump, plus the bottleneck verdict. Like
-  /// tracing, observation-only — a metrics-on run is byte-identical to a
-  /// metrics-off run (the pump steps runUntil instead of spawning a
-  /// sampling process), and like seriesInterval it stays out of the
-  /// sweep-point seed derivation.
+  /// Metrics report (off by default). Every run samples its instruments
+  /// through the metrics pump, which also yields `usage`; `enabled`
+  /// attaches the sampled series and the bottleneck verdict to the result.
+  /// Like seriesInterval it stays out of the sweep-point seed derivation.
   obs::Options metrics;
 
   /// Scenario engine (src/scenario/): arrival mode, failover policy, and

@@ -9,7 +9,6 @@
 #include "middleware/application.hpp"
 #include "middleware/failure.hpp"
 #include "middleware/policy.hpp"
-#include "obs/metrics.hpp"
 #include "sim/simulation.hpp"
 
 namespace mwsim::mw {
@@ -138,9 +137,7 @@ class LoadBalancer final : public HttpService {
     const char next = healthy ? 1 : 0;
     if (healthy_.at(i) == next) return;
     healthy_.at(i) = next;
-    if constexpr (obs::kEnabled) {
-      if (auto* m = sim_.metrics()) m->lbHealthFlips.add(1);
-    }
+    ++healthFlips_;
   }
   bool healthy(std::size_t i) const { return healthy_.at(i) != 0; }
 
@@ -155,6 +152,8 @@ class LoadBalancer final : public HttpService {
   std::uint64_t rerouteCount() const noexcept { return reroutes_; }
   /// Requests that observed their deadline pass.
   std::uint64_t timeoutCount() const noexcept { return timeouts_; }
+  /// Replica health changes (each crash or recovery that took effect).
+  std::uint64_t healthFlipCount() const noexcept { return healthFlips_; }
 
   sim::Task<InteractionResult> serve(const Request& request) override {
     Request routed = request;
@@ -174,22 +173,13 @@ class LoadBalancer final : public HttpService {
         // The replica died under this request: its partial work is lost
         // (the simulated time it burned stands); reroute if budget remains.
         ++reroutes_;
-        if constexpr (obs::kEnabled) {
-          if (auto* m = sim_.metrics()) m->lbReroutes.add(1);
-        }
       } catch (const RequestTimeout&) {
         // The deadline covers the whole interaction; retrying cannot help.
         ++timeouts_;
-        if constexpr (obs::kEnabled) {
-          if (auto* m = sim_.metrics()) m->lbTimeouts.add(1);
-        }
         break;
       }
     }
     ++errors_;
-    if constexpr (obs::kEnabled) {
-      if (auto* m = sim_.metrics()) m->lbErrors.add(1);
-    }
     co_return errorPage();
   }
 
@@ -215,6 +205,7 @@ class LoadBalancer final : public HttpService {
   std::uint64_t errors_ = 0;
   std::uint64_t reroutes_ = 0;
   std::uint64_t timeouts_ = 0;
+  std::uint64_t healthFlips_ = 0;
 };
 
 }  // namespace mwsim::mw

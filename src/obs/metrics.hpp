@@ -15,18 +15,22 @@
 
 namespace mwsim::obs {
 
-/// Run-level metrics knobs, carried in ExperimentParams. Like tracing, the
-/// metrics layer is observation-only: enabling it never changes simulated
-/// results — every instrument reads state the scheduler already decided,
-/// and the pump samples *between* kernel steps (see MetricsPump).
+/// The metrics pump's sampling period: paper §4.5 samples every second
+/// with sysstat, and so do we.
+inline constexpr sim::Duration kSamplePeriod = sim::kSecond;
+
+/// Run-level metrics knob, carried in ExperimentParams. Every run is
+/// observed through the registry and the pump (machine usage comes from
+/// their snapshots); `enabled` only decides whether the sampled report and
+/// its bottleneck verdict are attached to the result. Observation never
+/// changes simulated results: every instrument reads state the scheduler
+/// already decided, and the pump samples *between* kernel steps (see
+/// MetricsPump).
 struct Options {
   bool enabled = false;
-  /// Sampling period for the metrics pump (paper §4.5 samples every
-  /// second with sysstat; so do we).
-  sim::Duration period = sim::kSecond;
 };
 
-/// Monotonic event counter (cache hits, reroutes, shed sessions...).
+/// Monotonic event counter (cache hits, per-backend reads...).
 class Counter {
  public:
   void add(std::uint64_t n = 1) noexcept { value_ += n; }
@@ -87,10 +91,11 @@ inline bool verdictCandidate(ResourceKind k) {
 /// One registry belongs to one run (mirroring trace::Collector), reachable
 /// from middleware through sim::Simulation::metrics(); every hook site is
 /// guarded by `if constexpr (obs::kEnabled)` plus a null check, so the
-/// layer costs one branch when disabled and nothing at all when compiled
-/// out. The hot middleware counters are plain members — no name lookup on
-/// the request path; named instruments and pull probes exist for wiring
-/// code and tests.
+/// layer costs nothing at all when compiled out. The hot middleware
+/// counters are plain members — no name lookup on the request path.
+/// Components that already count something (the load balancer's errors,
+/// the open-loop farm's arrivals, a NIC's bytes) keep the count themselves,
+/// and the wiring registers a counter probe that reads it.
 ///
 /// Register everything before the pump takes its first sample: the pump
 /// snapshots the full instrument list each tick, so late registration
@@ -102,24 +107,12 @@ class MetricsRegistry {
   Counter stmtCacheMiss;   // db.stmt_cache.miss
   Counter planCacheHit;    // db.plan_cache.hit
   Counter planCacheMiss;   // db.plan_cache.miss
-  Counter lbHealthFlips;   // lb.health_flips
-  Counter lbReroutes;      // lb.reroutes
-  Counter lbTimeouts;      // lb.timeouts
-  Counter lbErrors;        // lb.errors
-  Counter openArrivals;    // wl.arrivals
-  Counter shedSessions;    // wl.shed
 
   MetricsRegistry() {
     registerCounter("db.stmt_cache.hit", &stmtCacheHit);
     registerCounter("db.stmt_cache.miss", &stmtCacheMiss);
     registerCounter("db.plan_cache.hit", &planCacheHit);
     registerCounter("db.plan_cache.miss", &planCacheMiss);
-    registerCounter("lb.health_flips", &lbHealthFlips);
-    registerCounter("lb.reroutes", &lbReroutes);
-    registerCounter("lb.timeouts", &lbTimeouts);
-    registerCounter("lb.errors", &lbErrors);
-    registerCounter("wl.arrivals", &openArrivals);
-    registerCounter("wl.shed", &shedSessions);
   }
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
@@ -147,14 +140,24 @@ class MetricsRegistry {
     if (it != histogramIndex_.end()) return *it->second;
     HistogramInstrument& h = histogramStore_.emplace_back();
     histogramIndex_.emplace(name, &h);
-    histograms_.push_back({name, &h});
+    addHistogram(name, h.histogram());
     return h;
+  }
+  /// Summarizes a distribution recorded elsewhere (the workload's response
+  /// times) under `name`; `hist` must outlive the pump.
+  void addHistogram(std::string name, const stats::Histogram& hist) {
+    histograms_.push_back({std::move(name), &hist});
   }
 
   // --- Pull probes, sampled by the pump ----------------------------------
   struct GaugeProbe {
     std::string name;
     std::function<double()> read;
+  };
+  /// `read` returns a monotone count; the pump snapshots it as is.
+  struct CounterProbe {
+    std::string name;
+    std::function<std::uint64_t()> read;
   };
   /// `cumulative` returns a monotone busy integral in unit-seconds; the
   /// pump differentiates it into per-interval utilization of `capacity`
@@ -179,6 +182,9 @@ class MetricsRegistry {
 
   void addGaugeProbe(std::string name, std::function<double()> read) {
     gaugeProbes_.push_back({std::move(name), std::move(read)});
+  }
+  void addCounterProbe(std::string name, std::function<std::uint64_t()> read) {
+    counters_.push_back({std::move(name), std::move(read)});
   }
   void addUtilizationProbe(std::string name, ResourceKind kind, double capacity,
                            std::function<double()> cumulative) {
@@ -215,15 +221,11 @@ class MetricsRegistry {
   }
 
   // --- Pump/report access -------------------------------------------------
-  struct NamedCounter {
-    std::string name;
-    const Counter* value;
-  };
   struct NamedHistogram {
     std::string name;
-    const HistogramInstrument* value;
+    const stats::Histogram* value;
   };
-  const std::vector<NamedCounter>& counters() const noexcept { return counters_; }
+  const std::vector<CounterProbe>& counters() const noexcept { return counters_; }
   const std::vector<GaugeProbe>& gaugeProbes() const noexcept { return gaugeProbes_; }
   const std::vector<UtilizationProbe>& utilizationProbes() const noexcept {
     return utilProbes_;
@@ -234,7 +236,7 @@ class MetricsRegistry {
  private:
   void registerCounter(std::string name, Counter* c) {
     counterIndex_.emplace(name, c);
-    counters_.push_back({std::move(name), c});
+    addCounterProbe(std::move(name), [c] { return c->value(); });
   }
 
   std::deque<Counter> counterStore_;
@@ -243,7 +245,7 @@ class MetricsRegistry {
   std::unordered_map<std::string, Counter*> counterIndex_;
   std::unordered_map<std::string, Gauge*> gaugeIndex_;
   std::unordered_map<std::string, HistogramInstrument*> histogramIndex_;
-  std::vector<NamedCounter> counters_;
+  std::vector<CounterProbe> counters_;
   std::vector<GaugeProbe> gaugeProbes_;
   std::vector<UtilizationProbe> utilProbes_;
   std::vector<LittleProbe> littleProbes_;

@@ -10,12 +10,13 @@
 
 namespace mwsim::obs {
 
-/// Periodic sampler that subsumes stats::Sampler for the metrics layer.
+/// Periodic sampler: the one way a run is observed. Machine usage, the
+/// bottleneck verdict and the --metrics-out series all come from its
+/// snapshots.
 ///
 /// The pump deliberately does NOT spawn a simulated process. A sampling
 /// coroutine would insert wake-up events into the kernel queue, perturbing
-/// (time, seq) dispatch order and breaking the metrics-on ≡ metrics-off
-/// byte-identity guarantee. Instead the *driver* steps the kernel:
+/// (time, seq) dispatch order. Instead the caller steps the kernel:
 ///
 ///   pump.runTo(t);   // = runUntil(next sample instant); sample(); repeat
 ///
@@ -24,14 +25,13 @@ namespace mwsim::obs {
 /// period-sized steps dispatches the same events in the same order — the
 /// pump only ever *reads* between steps.
 ///
-/// Snapshot 0 is the baseline taken at construction; the final interval may
-/// be partial (finish() ports the stats::Sampler tail-flush fix: a run that
-/// stops mid-period still records its trailing activity).
+/// Snapshot 0 is the baseline taken at construction. runTo() also
+/// snapshots its target, so a window edge between two ticks is sampled
+/// exactly and the interval ending there is partial.
 class MetricsPump {
  public:
-  MetricsPump(sim::Simulation& simulation, MetricsRegistry& registry,
-              sim::Duration period)
-      : sim_(simulation), registry_(registry), period_(period) {
+  MetricsPump(sim::Simulation& simulation, MetricsRegistry& registry)
+      : sim_(simulation), registry_(registry) {
     utilCum_.resize(registry.utilizationProbes().size());
     gaugeVals_.resize(registry.gaugeProbes().size());
     counterCum_.resize(registry.counters().size());
@@ -39,23 +39,26 @@ class MetricsPump {
     littleCompleted_.resize(registry.littleProbes().size());
     littleSojourn_.resize(registry.littleProbes().size());
     sample();  // baseline
-    next_ = sim_.now() + period_;
+    next_ = sim_.now() + kSamplePeriod;
   }
   MetricsPump(const MetricsPump&) = delete;
   MetricsPump& operator=(const MetricsPump&) = delete;
 
-  /// Advances the simulation to `target`, sampling at every whole period.
+  /// Advances the simulation to `target`, sampling at every whole period
+  /// and at `target` itself.
   void runTo(sim::SimTime target) {
     while (next_ <= target) {
       sim_.runUntil(next_);
       sample();
-      next_ += period_;
+      next_ += kSamplePeriod;
     }
     sim_.runUntil(target);
+    finish();
   }
 
-  /// Records the final partial interval, if any. Call once after the last
-  /// runTo, before shutdown.
+  /// Records the interval since the last snapshot, if the clock moved past
+  /// it (a caller that also advanced the simulation itself). Recording
+  /// twice at one instant records nothing.
   void finish() {
     if (sim_.now() > times_.back()) sample();
   }
@@ -67,7 +70,7 @@ class MetricsPump {
   /// (instrument pointers die with the simulation; the report must not).
   MetricsReport buildReport(sim::SimTime windowStart, sim::SimTime windowEnd) const {
     MetricsReport r;
-    r.period = period_;
+    r.period = kSamplePeriod;
     r.windowStart = windowStart;
     r.windowEnd = windowEnd;
     r.times = times_;
@@ -90,7 +93,7 @@ class MetricsPump {
                           littleSojourn_[i]});
     }
     for (const auto& h : registry_.histograms()) {
-      const stats::Histogram& hist = h.value->histogram();
+      const stats::Histogram& hist = *h.value;
       r.histograms.push_back({h.name, hist.count(), hist.mean(), hist.percentile(50),
                               hist.percentile(90), hist.percentile(99), hist.min(),
                               hist.max()});
@@ -111,7 +114,7 @@ class MetricsPump {
     }
     const auto& counters = registry_.counters();
     for (std::size_t i = 0; i < counters.size(); ++i) {
-      counterCum_[i].push_back(counters[i].value->value());
+      counterCum_[i].push_back(counters[i].read());
     }
     const auto& littles = registry_.littleProbes();
     for (std::size_t i = 0; i < littles.size(); ++i) {
@@ -123,7 +126,6 @@ class MetricsPump {
 
   sim::Simulation& sim_;
   MetricsRegistry& registry_;
-  sim::Duration period_;
   sim::SimTime next_ = 0;
   std::vector<sim::SimTime> times_;
   std::vector<std::vector<double>> utilCum_;

@@ -1,96 +1,25 @@
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
-
-#include "net/machine.hpp"
-#include "sim/time.hpp"
 
 namespace mwsim::stats {
 
 /// Per-machine resource usage over a measurement window — the simulated
-/// equivalent of the paper's sysstat sampling. Also used (via
-/// aggregateByTier) for one row per *tier*, where `name` is the tier name
-/// and the figures are combined over the tier's replicas.
+/// equivalent of the paper's sysstat sampling (obs::machineUsage computes
+/// it from the metrics pump's snapshots). Also used (via aggregateByTier)
+/// for one row per *tier*, where `name` is the tier name and the figures
+/// are combined over the tier's replicas.
 struct MachineUsage {
   std::string name;
-  std::string tier;             // tier this machine belongs to (default: name)
+  std::string tier;             // tier this machine belongs to (aggregateByTier key)
   int cores = 1;
   double cpuUtilization = 0.0;  // fraction of cores busy, 0..1
   double nicMbps = 0.0;         // combined send+receive megabits/s
   double nicUtilization = 0.0;  // fraction of link bandwidth
   std::uint64_t nicPackets = 0;
   std::int64_t memoryBytes = 0;
-};
-
-/// Snapshot-differencing usage meter: start() at the beginning of the
-/// measurement phase, stop() at the end, then read usage().
-class UsageWindow {
- public:
-  /// `tier` groups replicated machines for aggregateByTier; empty means the
-  /// machine is its own tier (the single-machine default).
-  void addMachine(const net::Machine* machine, std::string tier = {}) {
-    machines_.push_back(machine);
-    tiers_.push_back(tier.empty() ? machine->name() : std::move(tier));
-  }
-
-  void start(sim::SimTime now) {
-    startTime_ = now;
-    startSnapshots_.clear();
-    for (const auto* m : machines_) {
-      startSnapshots_.push_back({m->cpu().busyCoreSeconds(), m->nic().busySeconds(),
-                                 m->nic().bytesTransferred(), m->nic().packetsTransferred()});
-    }
-  }
-
-  void stop(sim::SimTime now) {
-    stopTime_ = now;
-    stopSnapshots_.clear();
-    for (const auto* m : machines_) {
-      stopSnapshots_.push_back({m->cpu().busyCoreSeconds(), m->nic().busySeconds(),
-                                m->nic().bytesTransferred(), m->nic().packetsTransferred()});
-    }
-  }
-
-  std::vector<MachineUsage> usage() const {
-    std::vector<MachineUsage> out;
-    const double seconds = sim::toSeconds(stopTime_ - startTime_);
-    if (seconds <= 0.0) return out;
-    for (std::size_t i = 0; i < machines_.size(); ++i) {
-      const auto* m = machines_[i];
-      const Snapshot& a = startSnapshots_[i];
-      const Snapshot& b = stopSnapshots_[i];
-      MachineUsage u;
-      u.name = m->name();
-      u.tier = tiers_[i];
-      u.cores = m->cpu().cores();
-      u.cpuUtilization = (b.cpuBusy - a.cpuBusy) / (seconds * m->cpu().cores());
-      const double bits = static_cast<double>(b.nicBytes - a.nicBytes) * 8.0;
-      u.nicMbps = bits / seconds / 1e6;
-      u.nicUtilization = bits / seconds / m->nic().bandwidthBitsPerSecond();
-      u.nicPackets = b.nicPackets - a.nicPackets;
-      u.memoryBytes = m->memoryBytes();
-      out.push_back(u);
-    }
-    return out;
-  }
-
-  sim::Duration windowLength() const noexcept { return stopTime_ - startTime_; }
-
- private:
-  struct Snapshot {
-    double cpuBusy = 0;
-    double nicBusy = 0;
-    std::uint64_t nicBytes = 0;
-    std::uint64_t nicPackets = 0;
-  };
-
-  std::vector<const net::Machine*> machines_;
-  std::vector<std::string> tiers_;
-  std::vector<Snapshot> startSnapshots_;
-  std::vector<Snapshot> stopSnapshots_;
-  sim::SimTime startTime_ = 0;
-  sim::SimTime stopTime_ = 0;
 };
 
 /// Collapses per-instance usage to one row per tier, preserving first-seen

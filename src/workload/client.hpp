@@ -1,10 +1,8 @@
 #pragma once
 
-#include <map>
 #include <string>
 
 #include "middleware/web_server.hpp"
-#include "obs/metrics.hpp"
 #include "stats/histogram.hpp"
 #include "stats/timeseries.hpp"
 #include "trace/collector.hpp"
@@ -23,32 +21,20 @@ struct WorkloadStats {
   std::uint64_t completedInteractions = 0;
   std::uint64_t completedReadWrite = 0;
   std::uint64_t totalQueries = 0;
-  std::uint64_t totalResponseBytes = 0;
-  std::uint64_t errorInteractions = 0;
-  std::map<std::string, std::uint64_t> perInteraction;
   stats::Histogram responseSeconds;
   /// When non-null, every completion lands in a fixed-interval bucket too.
   stats::TimeSeries* series = nullptr;
-  /// When non-null, measured response times also land in this metrics
-  /// instrument (summarized into the MetricsReport).
-  obs::HistogramInstrument* responseHist = nullptr;
 
-  void record(const std::string& interaction, bool readWrite, double responseSecs,
-              const mw::InteractionResult& result, sim::SimTime now) {
+  void record(bool readWrite, double responseSecs, const mw::InteractionResult& result,
+              sim::SimTime now) {
     if (series != nullptr) {
       series->recordCompletion(now, responseSecs, result.page.error);
     }
     if (!measuring) return;
     ++completedInteractions;
     if (readWrite) ++completedReadWrite;
-    if (result.page.error) ++errorInteractions;
     totalQueries += static_cast<std::uint64_t>(result.page.queryCount);
-    totalResponseBytes += result.totalResponseBytes;
-    ++perInteraction[interaction];
     responseSeconds.record(responseSecs);
-    if constexpr (obs::kEnabled) {
-      if (responseHist != nullptr) responseHist->record(responseSecs);
-    }
   }
 };
 
@@ -108,8 +94,8 @@ class ClientFarm {
         } else {
           result = co_await web_.serve(request);
         }
-        stats_.record(request.interaction, mix_.isReadWrite(state),
-                      sim::toSeconds(sim_.now() - start), result, sim_.now());
+        stats_.record(mix_.isReadWrite(state), sim::toSeconds(sim_.now() - start), result,
+                      sim_.now());
         co_await sim_.delay(
             sim::fromSeconds(rng.exponential(sim::toSeconds(thinkMean_))));
         state = mix_.next(state, rng);

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 
-#include "obs/metrics.hpp"
 #include "scenario/arrival.hpp"
 #include "scenario/spec.hpp"
 #include "workload/client.hpp"
@@ -51,14 +50,8 @@ class OpenLoopFarm {
       const sim::Duration wait = sim::fromSeconds(nextSec) - sim_.now();
       if (wait > 0) co_await sim_.delay(wait);
       ++arrivals_;
-      if constexpr (obs::kEnabled) {
-        if (auto* m = sim_.metrics()) m->openArrivals.add(1);
-      }
       if (active_ >= spec_.maxInFlightSessions) {
         ++shed_;
-        if constexpr (obs::kEnabled) {
-          if (auto* m = sim_.metrics()) m->shedSessions.add(1);
-        }
         if (stats_.series != nullptr) stats_.series->recordShed(sim_.now());
         continue;
       }
@@ -88,8 +81,8 @@ class OpenLoopFarm {
       } else {
         result = co_await web_.serve(request);
       }
-      stats_.record(request.interaction, mix_.isReadWrite(state),
-                    sim::toSeconds(sim_.now() - start), result, sim_.now());
+      stats_.record(mix_.isReadWrite(state), sim::toSeconds(sim_.now() - start), result,
+                    sim_.now());
       // An error page ends the session — the user gives up. This is what
       // lets overload shed load open-loop: failed sessions leave instead of
       // hammering the site from inside the admission cap.

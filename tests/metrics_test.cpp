@@ -1,10 +1,14 @@
-/// Tests for the obs:: metrics layer (PR 10):
+/// Tests for the obs:: metrics layer:
 ///
-///  * instruments and registry semantics (create-or-get, well-known names);
-///  * the metrics pump's aligned series, utilization differentiation, and
-///    final partial-interval flush;
-///  * the observation-only invariant — metrics-on runs are byte-identical
-///    to metrics-off, sequentially and under parallel sweeps;
+///  * instruments and registry semantics (create-or-get, well-known names,
+///    counts that components keep themselves);
+///  * the metrics pump's aligned series, utilization differentiation,
+///    partial intervals at window edges between ticks, and the stepping
+///    invariant — runTo in one-second steps dispatches exactly the events
+///    of one runUntil;
+///  * machine usage over a measurement window, from the pump's snapshots;
+///  * attaching the report leaves results bit-identical, sequentially and
+///    under parallel sweeps;
 ///  * the Little's-law consistency check (|L - lambda*W| / L < 5% on a
 ///    steady closed-loop run) — which validates the instruments themselves;
 ///  * bottleneck verdicts: scenario runs flip the verdict mid-run (the
@@ -12,11 +16,15 @@
 ///    shedding is called out on flash-crowd plateaus.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/experiment.hpp"
+#include "net/network.hpp"
 #include "obs/analyzer.hpp"
+#include "obs/machine.hpp"
 #include "obs/metrics.hpp"
 #include "obs/pump.hpp"
 #include "trace/collector.hpp"
@@ -52,17 +60,21 @@ TEST(MetricsRegistryTest, InstrumentBasics) {
 TEST(MetricsRegistryTest, WellKnownCountersAreRegisteredByName) {
   obs::MetricsRegistry registry;
   registry.stmtCacheHit.add(2);
-  registry.shedSessions.add(7);
+  // A count a component keeps itself (like the open-loop farm's sheds) is
+  // read in place, so the registry always sees its current value.
+  std::uint64_t shed = 7;
+  registry.addCounterProbe("wl.shed", [&shed] { return shed; });
+  shed = 9;
   bool sawHit = false;
   bool sawShed = false;
-  for (const auto& nc : registry.counters()) {
-    if (nc.name == "db.stmt_cache.hit") {
+  for (const auto& c : registry.counters()) {
+    if (c.name == "db.stmt_cache.hit") {
       sawHit = true;
-      EXPECT_EQ(nc.value->value(), 2u);
+      EXPECT_EQ(c.read(), 2u);
     }
-    if (nc.name == "wl.shed") {
+    if (c.name == "wl.shed") {
       sawShed = true;
-      EXPECT_EQ(nc.value->value(), 7u);
+      EXPECT_EQ(c.read(), 9u);
     }
   }
   EXPECT_TRUE(sawHit);
@@ -87,8 +99,8 @@ TEST(MetricsPumpTest, SamplesAlignedUtilizationSeries) {
   obs::MetricsRegistry registry;
   registry.addUtilizationProbe("m/cpu", obs::ResourceKind::Cpu, 1.0,
                                [&cpu] { return cpu.busyCoreSeconds(); });
-  obs::MetricsPump pump(simulation, registry, kSecond);
-  // Busy during [2, 5): same shape as the Sampler test it subsumes.
+  obs::MetricsPump pump(simulation, registry);
+  // Busy during [2, 5).
   simulation.spawn([](sim::Simulation& s, sim::CpuResource& c) -> sim::Task<> {
     co_await s.delay(2 * kSecond);
     co_await c.consume(3 * kSecond);
@@ -113,15 +125,18 @@ TEST(MetricsPumpTest, FinishFlushesFinalPartialInterval) {
   obs::MetricsRegistry registry;
   registry.addUtilizationProbe("m/cpu", obs::ResourceKind::Cpu, 1.0,
                                [&cpu] { return cpu.busyCoreSeconds(); });
-  obs::MetricsPump pump(simulation, registry, kSecond);
+  obs::MetricsPump pump(simulation, registry);
   simulation.spawn([](sim::CpuResource& c) -> sim::Task<> {
     co_await c.consume(10 * kSecond);
   }(cpu));
-  // Stop mid-period at t = 2.5 s: the pump fired at t=1 and t=2; finish()
-  // must record the [2, 2.5) tail (the Sampler bug this layer ports the
-  // fix for).
-  pump.runTo(2 * kSecond + kSecond / 2);
+  // The pump fired at t=1 and t=2; the test then advances the simulation
+  // itself to t = 2.5 s, mid-period. finish() must record the [2, 2.5)
+  // tail, so a run that stops between ticks keeps its trailing activity.
+  pump.runTo(2 * kSecond);
+  simulation.runUntil(2 * kSecond + kSecond / 2);
   pump.finish();
+  EXPECT_EQ(pump.sampleCount(), 4u);
+  pump.finish();  // no time has passed: records nothing
   const obs::MetricsReport report = pump.buildReport(0, 3 * kSecond);
   ASSERT_EQ(report.times.size(), 4u);
   EXPECT_EQ(report.times.back(), 2 * kSecond + kSecond / 2);
@@ -134,7 +149,7 @@ TEST(MetricsPumpTest, CountersAndGaugesSnapshotPerTick) {
   sim::Simulation simulation;
   obs::MetricsRegistry registry;
   obs::Counter& work = registry.counter("work.done");
-  obs::MetricsPump pump(simulation, registry, kSecond);
+  obs::MetricsPump pump(simulation, registry);
   simulation.spawn([](sim::Simulation& s, obs::Counter& c) -> sim::Task<> {
     for (int i = 0; i < 5; ++i) {
       co_await s.delay(kSecond);
@@ -146,6 +161,121 @@ TEST(MetricsPumpTest, CountersAndGaugesSnapshotPerTick) {
   const obs::MetricsReport report = pump.buildReport(0, 5 * kSecond);
   EXPECT_EQ(report.counterTotal("work.done"), 50u);
   EXPECT_EQ(report.counterDelta("work.done", kSecond, 3 * kSecond), 20u);
+}
+
+/// A seeded mix of delays, CPU jobs on one shared processor-sharing CPU
+/// and critical sections on one contended resource. Every step appends
+/// (time, tag) to `log`; some steps end exactly on a whole second.
+struct SteppingWorld {
+  sim::Simulation simulation{99};
+  sim::CpuResource cpu{simulation, 2};
+  sim::Resource lock{simulation, 1, "lock"};
+  std::vector<std::pair<sim::SimTime, int>> log;
+
+  SteppingWorld() {
+    for (int w = 0; w < 12; ++w) simulation.spawn(worker(w));
+  }
+  ~SteppingWorld() { simulation.shutdown(); }
+
+  sim::Task<> worker(int id) {
+    sim::Rng rng(sim::deriveSeed(7, static_cast<std::uint64_t>(id)));
+    for (int step = 0;; ++step) {
+      switch (rng.uniformInt(0, 3)) {
+        case 0:
+          co_await simulation.delay(sim::fromMillis(static_cast<double>(rng.uniformInt(1, 900))));
+          break;
+        case 1:  // up to the next whole second: a tick instant
+          co_await simulation.delay(kSecond - simulation.now() % kSecond);
+          break;
+        case 2:
+          co_await cpu.consume(sim::fromMillis(static_cast<double>(rng.uniformInt(1, 400))));
+          break;
+        default: {
+          sim::ResourceHold hold = co_await lock.acquire();
+          co_await simulation.delay(sim::fromMillis(static_cast<double>(rng.uniformInt(1, 200))));
+          break;
+        }
+      }
+      log.emplace_back(simulation.now(), id * 10'000 + step);
+    }
+  }
+};
+
+TEST(MetricsPumpTest, SteppedRunDispatchesTheEventsOfOneRunUntil) {
+  const sim::SimTime end = 17 * kSecond + 333 * sim::kMillisecond;  // not a tick
+  SteppingWorld plain;
+  plain.simulation.runUntil(end);
+
+  SteppingWorld stepped;
+  obs::MetricsRegistry registry;
+  registry.addUtilizationProbe("cpu", obs::ResourceKind::Cpu, 2.0,
+                               [&stepped] { return stepped.cpu.busyCoreSeconds(); });
+  registry.addUtilizationProbe("lock", obs::ResourceKind::Lock, 1.0,
+                               [&stepped] { return stepped.lock.busyUnitSeconds(); });
+  obs::MetricsPump pump(stepped.simulation, registry);
+  pump.runTo(end);
+
+  ASSERT_GT(plain.log.size(), 200u);
+  std::size_t onTick = 0;
+  for (const auto& [time, tag] : plain.log) {
+    if (time % kSecond == 0) ++onTick;
+  }
+  EXPECT_GT(onTick, 20u) << "the workload must put events on tick instants";
+  EXPECT_EQ(plain.log, stepped.log);
+  EXPECT_EQ(plain.simulation.eventsProcessed(), stepped.simulation.eventsProcessed());
+  EXPECT_EQ(stepped.simulation.now(), end);
+  // The baseline, one snapshot per whole second, and the target itself.
+  ASSERT_EQ(pump.sampleCount(), 19u);
+  EXPECT_EQ(pump.times().back(), end);
+}
+
+// ----------------------------------------------------------- machine usage
+
+TEST(UsageWindowTest, CapturesCpuAndNic) {
+  sim::Simulation simulation;
+  net::Network network(simulation);
+  net::Machine m(simulation, "m");
+  net::Machine peer(simulation, "peer");
+  obs::MetricsRegistry registry;
+  obs::addMachineProbes(registry, m);
+  obs::MetricsPump pump(simulation, registry);
+  simulation.spawn([](sim::Simulation& s, net::Network& n, net::Machine& m,
+                      net::Machine& peer) -> sim::Task<> {
+    co_await s.delay(kSecond);
+    co_await m.compute(2 * kSecond);
+    co_await n.send(m, peer, 1'250'000);  // 10 Mbit, 0.1 s on the 100 Mbit/s link
+  }(simulation, network, m, peer));
+  // Both window edges fall between the pump's ticks.
+  const sim::SimTime from = kSecond / 2;
+  const sim::SimTime to = 10 * kSecond + kSecond / 2;
+  pump.runTo(from);
+  pump.runTo(to);
+  const obs::MetricsReport report = pump.buildReport(from, to);
+  const stats::MachineUsage u = obs::machineUsage(report, m, "tier");
+  EXPECT_EQ(u.name, "m");
+  EXPECT_EQ(u.tier, "tier");
+  EXPECT_EQ(u.cores, 1);
+  EXPECT_NEAR(u.cpuUtilization, 0.2, 1e-9);  // 2 s busy of 10 s
+  EXPECT_NEAR(u.nicMbps, 1.0, 1e-9);         // 10 Mbit over 10 s
+  EXPECT_NEAR(u.nicUtilization, 0.01, 1e-9);
+  EXPECT_EQ(u.nicPackets, net::Nic::packetsFor(1'250'000));
+  simulation.shutdown();
+}
+
+TEST(UsageWindowTest, WindowExcludesWorkOutsideIt) {
+  sim::Simulation simulation;
+  net::Machine m(simulation, "m");
+  obs::MetricsRegistry registry;
+  obs::addMachineProbes(registry, m);
+  obs::MetricsPump pump(simulation, registry);
+  simulation.spawn([](net::Machine& m) -> sim::Task<> { co_await m.compute(5 * kSecond); }(m));
+  pump.runTo(5 * kSecond);  // all work happens before the window
+  pump.runTo(15 * kSecond);
+  const obs::MetricsReport report = pump.buildReport(5 * kSecond, 15 * kSecond);
+  EXPECT_NEAR(obs::machineUsage(report, m, "m").cpuUtilization, 0.0, 1e-9);
+  EXPECT_NEAR(report.meanUtilization(*report.findUtilization("m/cpu"), 0, 5 * kSecond), 1.0,
+              1e-9);
+  simulation.shutdown();
 }
 
 // ------------------------------------------------- observation-only runs

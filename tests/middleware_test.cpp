@@ -7,7 +7,8 @@
 #include "middleware/php_module.hpp"
 #include "middleware/servlet_engine.hpp"
 #include "middleware/web_server.hpp"
-#include "stats/usage.hpp"
+#include "obs/machine.hpp"
+#include "obs/pump.hpp"
 
 namespace mwsim::mw {
 namespace {
@@ -460,22 +461,25 @@ TEST_F(MiddlewareTest, WebServerProcessPoolBounds) {
 }
 
 TEST_F(MiddlewareTest, UsageWindowSeesDbCpu) {
-  stats::UsageWindow window;
-  window.addMachine(&dbMachine_);
-  window.addMachine(&web_);
-  window.start(simulation_.now());
+  obs::MetricsRegistry registry;
+  obs::addMachineProbes(registry, dbMachine_);
+  obs::addMachineProbes(registry, web_);
+  obs::MetricsPump pump(simulation_, registry);
+  const sim::SimTime start = simulation_.now();
   simulation_.spawn([](MiddlewareTest& t) -> Task<> {
     DbSession db = t.makeSession(t.web_, DriverKind::NativeMySql);
     for (int i = 0; i < 200; ++i) {
       co_await db.execute("SELECT * FROM stock WHERE qty >= 100 AND qty <= 150");
     }
   }(*this));
+  // Run to completion, then snapshot wherever the last query left the clock.
   simulation_.run();
-  window.stop(simulation_.now());
-  auto usage = window.usage();
-  ASSERT_EQ(usage.size(), 2u);
-  EXPECT_GT(usage[0].cpuUtilization, 0.05);  // db was busy a solid fraction
-  EXPECT_GT(usage[0].nicMbps, 0.0);
+  pump.finish();
+  const obs::MetricsReport report = pump.buildReport(start, simulation_.now());
+  const stats::MachineUsage db = obs::machineUsage(report, dbMachine_, "db");
+  EXPECT_GT(db.cpuUtilization, 0.05);  // db was busy a solid fraction
+  EXPECT_GT(db.nicMbps, 0.0);
+  EXPECT_GT(obs::machineUsage(report, web_, "web").nicMbps, 0.0);
 }
 
 }  // namespace

@@ -5,12 +5,10 @@
 #include "sim/sim.hpp"
 #include "stats/histogram.hpp"
 #include "stats/report.hpp"
-#include "stats/usage.hpp"
 
 namespace mwsim {
 namespace {
 
-using sim::kSecond;
 using sim::Task;
 
 // --------------------------------------------------------------- Histogram
@@ -159,40 +157,6 @@ TEST(NetworkTest, TransferTimeIncludesBothNicsAndPropagation) {
   EXPECT_EQ(done, 2 * sim::kMillisecond + sim::fromMicros(100));
 }
 
-// ------------------------------------------------------------- UsageWindow
-
-TEST(UsageWindowTest, CapturesCpuAndNic) {
-  sim::Simulation simulation;
-  net::Network network(simulation);
-  net::Machine m(simulation, "m");
-  stats::UsageWindow window;
-  window.addMachine(&m);
-  window.start(0);
-  simulation.spawn([](net::Machine& m, net::Network& n, net::Machine& self) -> Task<> {
-    co_await m.compute(2 * kSecond);
-    (void)n;
-    (void)self;
-  }(m, network, m));
-  simulation.runUntil(10 * kSecond);
-  window.stop(simulation.now());
-  auto usage = window.usage();
-  ASSERT_EQ(usage.size(), 1u);
-  EXPECT_NEAR(usage[0].cpuUtilization, 0.2, 0.01);  // 2 s busy of 10 s
-}
-
-TEST(UsageWindowTest, WindowExcludesWorkOutsideIt) {
-  sim::Simulation simulation;
-  net::Machine m(simulation, "m");
-  simulation.spawn([](net::Machine& m) -> Task<> { co_await m.compute(5 * kSecond); }(m));
-  simulation.runUntil(5 * kSecond);  // all work happens before the window
-  stats::UsageWindow window;
-  window.addMachine(&m);
-  window.start(simulation.now());
-  simulation.runUntil(15 * kSecond);
-  window.stop(simulation.now());
-  EXPECT_NEAR(window.usage()[0].cpuUtilization, 0.0, 1e-9);
-}
-
 // ------------------------------------------------------------------ Report
 
 TEST(ReportTest, TextTableAligns) {
@@ -236,71 +200,3 @@ TEST(ReportTest, Formatters) {
 }  // namespace
 }  // namespace mwsim
 
-#include "stats/sampler.hpp"
-
-namespace mwsim {
-namespace {
-
-using sim::kSecond;
-
-TEST(SamplerTest, TracksUtilizationOverTime) {
-  sim::Simulation simulation;
-  net::Machine m(simulation, "m");
-  stats::Sampler sampler(simulation, kSecond);
-  sampler.addMachine(&m);
-  sampler.start();
-  // Busy during seconds [2, 5): three fully-busy samples.
-  simulation.spawn([](sim::Simulation& s, net::Machine& m) -> sim::Task<> {
-    co_await s.delay(2 * kSecond);
-    co_await m.compute(3 * kSecond);
-  }(simulation, m));
-  simulation.runUntil(8 * kSecond);
-  const auto& series = sampler.series(0);
-  ASSERT_GE(series.size(), 8u);
-  EXPECT_NEAR(series[0].cpuUtilization, 0.0, 1e-9);   // [0,1): idle
-  EXPECT_NEAR(series[3].cpuUtilization, 1.0, 1e-6);   // [3,4): busy
-  EXPECT_NEAR(series[6].cpuUtilization, 0.0, 1e-9);   // [6,7): idle again
-  simulation.shutdown();
-}
-
-TEST(SamplerTest, FlushRecordsFinalPartialInterval) {
-  sim::Simulation simulation;
-  net::Machine m(simulation, "m");
-  stats::Sampler sampler(simulation, kSecond);
-  sampler.addMachine(&m);
-  sampler.start();
-  // Busy for the whole run; stop mid-period at t = 2.5 s. The loop has
-  // fired twice (t=1, t=2); flush() must record the [2, 2.5) tail.
-  simulation.spawn([](net::Machine& m) -> sim::Task<> {
-    co_await m.compute(10 * kSecond);
-  }(m));
-  simulation.runUntil(2 * kSecond + kSecond / 2);
-  sampler.flush();
-  const auto& series = sampler.series(0);
-  ASSERT_EQ(series.size(), 3u);
-  EXPECT_EQ(series[2].time, 2 * kSecond + kSecond / 2);
-  EXPECT_NEAR(series[2].cpuUtilization, 1.0, 1e-6);  // scaled by 0.5 s, not 1 s
-  // Flushing again without time passing records nothing.
-  sampler.flush();
-  EXPECT_EQ(series.size(), 3u);
-  simulation.shutdown();
-}
-
-TEST(SamplerTest, FractionAboveThreshold) {
-  sim::Simulation simulation;
-  net::Machine m(simulation, "m");
-  stats::Sampler sampler(simulation, kSecond);
-  sampler.addMachine(&m);
-  sampler.start();
-  simulation.spawn([](sim::Simulation& s, net::Machine& m) -> sim::Task<> {
-    (void)s;
-    co_await m.compute(5 * kSecond);
-  }(simulation, m));
-  simulation.runUntil(10 * kSecond);
-  // Busy [0,5): 5 of 10 one-second samples above 90%.
-  EXPECT_NEAR(sampler.fractionAbove(0, 0.9, 0, 10 * kSecond), 0.5, 0.01);
-  simulation.shutdown();
-}
-
-}  // namespace
-}  // namespace mwsim
