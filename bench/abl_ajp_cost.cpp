@@ -15,7 +15,8 @@ int main(int argc, char** argv) {
   bench::FigureSpec spec;
   spec.app = core::App::Auction;
   spec.mix = 1;
-  const auto opts = bench::BenchOptions::parse(argc, argv);
+  const auto opts = bench::BenchOptions::parse(
+      "Ablation: AJP per-byte relay cost (auction, bidding mix, 1100 clients)", argc, argv);
   std::printf("== Ablation: AJP per-byte relay cost (auction, bidding mix, 1100 clients) ==\n\n");
 
   stats::TextTable table({"ajpPerByteUs", "WsPhp-DB", "WsServlet-DB", "Ws-Servlet-DB"});

@@ -13,7 +13,8 @@ int main(int argc, char** argv) {
   bench::FigureSpec spec;
   spec.app = core::App::Auction;
   spec.mix = 1;
-  const auto opts = bench::BenchOptions::parse(argc, argv);
+  const auto opts = bench::BenchOptions::parse(
+      "Ablation: type-4 JDBC per-query cost (auction, bidding mix, 1100 clients)", argc, argv);
   std::printf(
       "== Ablation: type-4 JDBC per-query cost (auction, bidding mix, 1100 clients) ==\n\n");
 

@@ -13,7 +13,9 @@ int main(int argc, char** argv) {
   bench::FigureSpec spec;
   spec.app = core::App::Bookstore;
   spec.mix = 1;
-  const auto opts = bench::BenchOptions::parse(argc, argv);
+  const auto opts = bench::BenchOptions::parse(
+      "Ablation: LOCK TABLES per-table reopen cost (bookstore, shopping mix, 700 clients)",
+      argc, argv);
   std::printf(
       "== Ablation: LOCK TABLES per-table reopen cost (bookstore, shopping mix, "
       "700 clients) ==\n\n");

@@ -10,7 +10,8 @@
 using namespace mwsim;
 
 int main(int argc, char** argv) {
-  const auto opts = bench::BenchOptions::parse(argc, argv);
+  const auto opts = bench::BenchOptions::parse(
+      "Ablation: per-row scan cost (bookstore shopping vs auction bidding)", argc, argv);
   std::printf(
       "== Ablation: per-row scan cost (WsPhp-DB; bookstore shopping 700 clients vs "
       "auction bidding 1100 clients) ==\n\n");

@@ -5,16 +5,7 @@
 /// on WsPhp-DB, whose knee is web-CPU-bound) and prints one throughput
 /// curve per replica count, the located knee, and which tier limits it —
 /// with --breakdown adding the per-tier latency attribution at each knee.
-///
-/// Extra flags on top of the common harness set:
-///   --web-replicas 1,2,4   comma list of web-tier replica counts
-///   --db-replicas N        database replicas for every curve (default 1)
-///   --db-policy master|shard  replicated-DB routing policy (default master)
-///   --clients a,b,...      client counts per curve (default up to 6000)
-///   --help                 print usage and exit
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -24,28 +15,6 @@
 using namespace mwsim;
 
 namespace {
-
-const char* argValue(int argc, char** argv, const char* name) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
-  }
-  return nullptr;
-}
-
-std::vector<int> parseIntList(const char* text) {
-  std::vector<int> out;
-  std::string item;
-  for (const char* p = text;; ++p) {
-    if (*p == ',' || *p == '\0') {
-      if (!item.empty()) out.push_back(std::atoi(item.c_str()));
-      item.clear();
-      if (*p == '\0') break;
-    } else {
-      item.push_back(*p);
-    }
-  }
-  return out;
-}
 
 /// The tier whose utilization caps the curve: highest CPU across tiers,
 /// unless the web NIC is hotter than every CPU (the paper's fig07 case).
@@ -67,38 +36,24 @@ std::string limitingTier(const core::ExperimentResult& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--help") == 0) {
-      std::printf(
-          "ext_cluster_scaling — throughput vs load for replicated web tiers\n\n"
-          "usage: ext_cluster_scaling [options]\n"
-          "  --web-replicas 1,2,4     web-tier replica counts, one curve each\n"
-          "  --db-replicas N          database replicas (default 1)\n"
-          "  --db-policy master|shard replicated-DB routing (default master)\n"
-          "  --clients a,b,...        client counts per curve\n"
-          "  --measure-sec N  --rampup-sec N  --seed N  --jobs N\n"
-          "  --quick  --csv  --breakdown  (see bench/harness.hpp)\n");
-      return 0;
-    }
-  }
-
   bench::FigureSpec spec;
   spec.app = core::App::Auction;
   spec.mix = 1;  // bidding
-  const auto opts = bench::BenchOptions::parse(argc, argv);
   const auto config = core::Configuration::WsPhpDb;
 
   std::vector<int> webReplicas{1, 2, 4};
-  if (const char* v = argValue(argc, argv, "--web-replicas")) webReplicas = parseIntList(v);
   int dbReplicas = 1;
-  if (const char* v = argValue(argc, argv, "--db-replicas")) dbReplicas = std::atoi(v);
   mw::DbPolicy dbPolicy = mw::DbPolicy::MasterReplica;
-  if (const char* v = argValue(argc, argv, "--db-policy")) {
-    dbPolicy = std::strcmp(v, "shard") == 0 ? mw::DbPolicy::ShardedByKey
-                                            : mw::DbPolicy::MasterReplica;
-  }
   std::vector<int> clients{400, 800, 1200, 1600, 2400, 3200, 4800, 6000};
-  if (const char* v = argValue(argc, argv, "--clients")) clients = parseIntList(v);
+  bench::BenchOptions opts;
+  cli::Parser parser("Extension: throughput vs load for replicated web tiers");
+  parser.add("--web-replicas", webReplicas, "web-tier replica counts, one curve each")
+      .add("--db-replicas", dbReplicas, "database replicas for every curve")
+      .choice("--db-policy", dbPolicy,
+              {{"master", mw::DbPolicy::MasterReplica}, {"shard", mw::DbPolicy::ShardedByKey}},
+              "replicated-database routing")
+      .add("--clients", clients, "client counts of every curve");
+  opts.parse(parser, argc, argv, bench::kQuick | bench::kCsv | bench::kBreakdown);
   if (opts.quick) {
     std::vector<int> halved;
     for (std::size_t i = 0; i < clients.size(); i += 2) halved.push_back(clients[i]);

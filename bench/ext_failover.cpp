@@ -12,20 +12,8 @@
 /// (bounded retries, optional per-request timeout), so the dip shows up as
 /// a transient, not a collapse. The whole trajectory lands in a
 /// stats::TimeSeries printed per policy.
-///
-/// Extra flags on top of the common harness set:
-///   --web-replicas N     web-tier replica count (default 2)
-///   --clients N          closed-loop client count (default 1200)
-///   --crash-sec T        crash time, seconds from run start (default 80)
-///   --outage-sec D       time until the replica recovers (default 40)
-///   --timeout-ms T       per-request deadline (default 2000; 0 = none)
-///   --retries N          reroute attempts per request (default 2)
-///   --bucket-sec B       time-series bucket width (default 10)
-///   --help               print usage and exit
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -36,13 +24,6 @@
 using namespace mwsim;
 
 namespace {
-
-const char* argValue(int argc, char** argv, const char* name) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
-  }
-  return nullptr;
-}
 
 struct Dip {
   double preIpm = 0.0;       // mean ok/min before the crash
@@ -81,44 +62,28 @@ Dip analyze(const stats::TimeSeries& series, double crashSec, double recoverSec)
 }  // namespace
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--help") == 0) {
-      std::printf(
-          "ext_failover — web replica crash/recovery vs dispatch policy\n\n"
-          "usage: ext_failover [options]\n"
-          "  --web-replicas N   web-tier replicas (default 2)\n"
-          "  --clients N        closed-loop clients (default 1200)\n"
-          "  --crash-sec T      crash time from run start (default 80)\n"
-          "  --outage-sec D     outage duration before recovery (default 40)\n"
-          "  --timeout-ms T     per-request deadline, 0=none (default 2000)\n"
-          "  --retries N        reroute attempts per request (default 2)\n"
-          "  --bucket-sec B     time-series bucket width (default 10)\n"
-          "  --measure-sec N  --rampup-sec N  --seed N  --jobs N\n"
-          "  --csv  --breakdown  (see bench/harness.hpp)\n");
-      return 0;
-    }
-  }
-
   bench::FigureSpec spec;
   spec.app = core::App::Auction;
   spec.mix = 1;  // bidding
-  const auto opts = bench::BenchOptions::parse(argc, argv);
   const auto config = core::Configuration::WsPhpDb;
 
   int webReplicas = 2;
-  if (const char* v = argValue(argc, argv, "--web-replicas")) webReplicas = std::atoi(v);
   int clients = 1200;
-  if (const char* v = argValue(argc, argv, "--clients")) clients = std::atoi(v);
   double crashSec = 80.0;
-  if (const char* v = argValue(argc, argv, "--crash-sec")) crashSec = std::atof(v);
   double outageSec = 40.0;
-  if (const char* v = argValue(argc, argv, "--outage-sec")) outageSec = std::atof(v);
   double timeoutMs = 2000.0;
-  if (const char* v = argValue(argc, argv, "--timeout-ms")) timeoutMs = std::atof(v);
   int retries = 2;
-  if (const char* v = argValue(argc, argv, "--retries")) retries = std::atoi(v);
   double bucketSec = 10.0;
-  if (const char* v = argValue(argc, argv, "--bucket-sec")) bucketSec = std::atof(v);
+  bench::BenchOptions opts;
+  cli::Parser parser("Extension: web replica crash and recovery vs dispatch policy");
+  parser.add("--web-replicas", webReplicas, "web-tier replicas; the last one crashes")
+      .add("--clients", clients, "closed-loop clients")
+      .add("--crash-sec", crashSec, "crash time, simulated seconds from the run start")
+      .add("--outage-sec", outageSec, "outage before the replica recovers, seconds")
+      .add("--timeout-ms", timeoutMs, "per-request deadline, 0 = none")
+      .add("--retries", retries, "reroute attempts per request")
+      .add("--bucket-sec", bucketSec, "time-series bucket width, seconds");
+  opts.parse(parser, argc, argv, bench::kCsv | bench::kBreakdown | bench::kNoMetrics);
   const double recoverSec = crashSec + outageSec;
 
   std::printf("== Extension: web-replica failover (auction, bidding mix, %s) ==\n",

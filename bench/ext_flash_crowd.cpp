@@ -7,20 +7,7 @@
 /// sweeps the surge multiplier: below the knee, completed throughput tracks
 /// the offered rate; past it, admission control sheds the excess and the
 /// site keeps serving at capacity instead of collapsing.
-///
-/// Extra flags on top of the common harness set:
-///   --base-rate R        base session arrivals/sec (default 2)
-///   --surge a,b,...      surge multipliers, one run each (default 1,2,4,8)
-///   --surge-start T      surge start, seconds from run start (default 90)
-///   --ramp-sec D         surge ramp-up duration (default 15)
-///   --hold-sec D         time at peak rate (default 60)
-///   --decay-sec D        decay back to base (default 30)
-///   --max-sessions N     admission cap on active sessions (default 400)
-///   --bucket-sec B       time-series bucket width (default 10)
-///   --help               print usage and exit
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -30,74 +17,31 @@
 
 using namespace mwsim;
 
-namespace {
-
-const char* argValue(int argc, char** argv, const char* name) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
-  }
-  return nullptr;
-}
-
-std::vector<double> parseDoubleList(const char* text) {
-  std::vector<double> out;
-  std::string item;
-  for (const char* p = text;; ++p) {
-    if (*p == ',' || *p == '\0') {
-      if (!item.empty()) out.push_back(std::atof(item.c_str()));
-      item.clear();
-      if (*p == '\0') break;
-    } else {
-      item.push_back(*p);
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--help") == 0) {
-      std::printf(
-          "ext_flash_crowd — open-loop surge sweep: shed vs collapse\n\n"
-          "usage: ext_flash_crowd [options]\n"
-          "  --base-rate R      base session arrivals/sec (default 2)\n"
-          "  --surge a,b,...    surge multipliers (default 1,2,4,8)\n"
-          "  --surge-start T    surge start time (default 90)\n"
-          "  --ramp-sec D       ramp to peak (default 15)\n"
-          "  --hold-sec D       hold at peak (default 60)\n"
-          "  --decay-sec D      decay to base (default 30)\n"
-          "  --max-sessions N   admission cap (default 400)\n"
-          "  --bucket-sec B     time-series bucket width (default 10)\n"
-          "  --measure-sec N  --rampup-sec N  --seed N  --jobs N\n"
-          "  --csv  (see bench/harness.hpp)\n");
-      return 0;
-    }
-  }
-
   bench::FigureSpec spec;
   spec.app = core::App::Auction;
   spec.mix = 1;  // bidding
-  const auto opts = bench::BenchOptions::parse(argc, argv);
   const auto config = core::Configuration::WsPhpDb;
 
   double baseRate = 2.0;
-  if (const char* v = argValue(argc, argv, "--base-rate")) baseRate = std::atof(v);
   std::vector<double> surges{1, 2, 4, 8};
-  if (const char* v = argValue(argc, argv, "--surge")) surges = parseDoubleList(v);
   double surgeStart = 90.0;
-  if (const char* v = argValue(argc, argv, "--surge-start")) surgeStart = std::atof(v);
   double rampSec = 15.0;
-  if (const char* v = argValue(argc, argv, "--ramp-sec")) rampSec = std::atof(v);
   double holdSec = 60.0;
-  if (const char* v = argValue(argc, argv, "--hold-sec")) holdSec = std::atof(v);
   double decaySec = 30.0;
-  if (const char* v = argValue(argc, argv, "--decay-sec")) decaySec = std::atof(v);
   int maxSessions = 400;
-  if (const char* v = argValue(argc, argv, "--max-sessions")) maxSessions = std::atoi(v);
   double bucketSec = 10.0;
-  if (const char* v = argValue(argc, argv, "--bucket-sec")) bucketSec = std::atof(v);
+  bench::BenchOptions opts;
+  cli::Parser parser("Extension: open-loop surge sweep, shedding vs collapse");
+  parser.add("--base-rate", baseRate, "base session arrivals per second")
+      .add("--surge", surges, "surge multipliers of the base rate, one run each")
+      .add("--surge-start", surgeStart, "surge start, simulated seconds from the run start")
+      .add("--ramp-sec", rampSec, "ramp from the base to the peak rate, seconds")
+      .add("--hold-sec", holdSec, "time at the peak rate, seconds")
+      .add("--decay-sec", decaySec, "decay back to the base rate, seconds")
+      .add("--max-sessions", maxSessions, "admission cap on active sessions")
+      .add("--bucket-sec", bucketSec, "time-series bucket width, seconds");
+  opts.parse(parser, argc, argv, bench::kCsv | bench::kNoMetrics);
 
   std::printf("== Extension: open-loop flash crowd (auction, bidding mix, %s) ==\n",
               core::configurationName(config));

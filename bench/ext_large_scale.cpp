@@ -8,21 +8,12 @@
 /// tier, the same shape as BM_ManyClients) while sweeping the client count
 /// toward the memory/throughput wall, reporting sustained events/sec and
 /// peak RSS at each population.
-///
-/// Flags:
-///   --clients a,b,...   populations to sweep (default 1000,10000,100000,1000000)
-///   --sim-seconds S     measured window of simulated time per point (default 5)
-///   --warmup-seconds S  simulated warmup before measuring (default 10)
-///   --seed N            simulation seed (default 1)
-///   --json FILE         also append machine-readable rows to FILE
-///   --help              print usage and exit
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <chrono>
+#include <cstdio>
 #include <string>
 #include <vector>
 
+#include "bench/cli.hpp"
 #include "sim/cpu.hpp"
 #include "sim/resource.hpp"
 #include "sim/sim.hpp"
@@ -31,28 +22,6 @@ using namespace mwsim;
 using namespace mwsim::sim;
 
 namespace {
-
-const char* argValue(int argc, char** argv, const char* name) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
-  }
-  return nullptr;
-}
-
-std::vector<long> parseLongList(const char* text) {
-  std::vector<long> out;
-  std::string item;
-  for (const char* p = text;; ++p) {
-    if (*p == ',' || *p == '\0') {
-      if (!item.empty()) out.push_back(std::atol(item.c_str()));
-      item.clear();
-      if (*p == '\0') break;
-    } else {
-      item.push_back(*p);
-    }
-  }
-  return out;
-}
 
 /// Peak resident set size in MiB, from /proc/self/status (Linux).
 double peakRssMib() {
@@ -118,26 +87,18 @@ Point runPoint(long clients, double warmupSeconds, double simSeconds,
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argValue(argc, argv, "--help") != nullptr ||
-      (argc > 1 && std::strcmp(argv[1], "--help") == 0)) {
-    std::printf(
-        "ext_large_scale: kernel events/sec and RSS vs client population\n"
-        "  --clients a,b,...  populations (default 1000,10000,100000,1000000)\n"
-        "  --sim-seconds S    measured simulated window (default 5)\n"
-        "  --warmup-seconds S simulated warmup (default 10)\n"
-        "  --seed N           simulation seed (default 1)\n"
-        "  --json FILE        append JSON rows to FILE\n");
-    return 0;
-  }
   std::vector<long> clients = {1000, 10000, 100000, 1000000};
-  if (const char* v = argValue(argc, argv, "--clients")) clients = parseLongList(v);
   double simSeconds = 5.0;
-  if (const char* v = argValue(argc, argv, "--sim-seconds")) simSeconds = std::atof(v);
   double warmupSeconds = 10.0;
-  if (const char* v = argValue(argc, argv, "--warmup-seconds")) warmupSeconds = std::atof(v);
   std::uint64_t seed = 1;
-  if (const char* v = argValue(argc, argv, "--seed")) seed = std::strtoull(v, nullptr, 10);
-  const char* jsonPath = argValue(argc, argv, "--json");
+  std::string jsonPath;
+  cli::Parser("Kernel events/sec and peak RSS vs closed-loop client population")
+      .add("--clients", clients, "populations to sweep")
+      .add("--sim-seconds", simSeconds, "measured window of simulated time per point")
+      .add("--warmup-seconds", warmupSeconds, "simulated warmup before measuring")
+      .add("--seed", seed, "simulation seed")
+      .add("--json", jsonPath, "also write the rows as JSON to this file")
+      .parse(argc, argv);
 
   std::printf("# kernel large-scale sweep: seed=%llu warmup=%gs window=%gs\n",
               static_cast<unsigned long long>(seed), warmupSeconds, simSeconds);
@@ -153,10 +114,10 @@ int main(int argc, char** argv) {
     std::fflush(stdout);
   }
 
-  if (jsonPath != nullptr) {
-    std::FILE* f = std::fopen(jsonPath, "w");
+  if (!jsonPath.empty()) {
+    std::FILE* f = std::fopen(jsonPath.c_str(), "w");
     if (f == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", jsonPath);
+      std::fprintf(stderr, "cannot open %s\n", jsonPath.c_str());
       return 1;
     }
     std::fprintf(f, "[\n");

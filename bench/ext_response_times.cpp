@@ -17,7 +17,8 @@ int main(int argc, char** argv) {
   bench::FigureSpec spec;
   spec.app = core::App::Auction;
   spec.mix = 1;
-  const auto opts = bench::BenchOptions::parse(argc, argv);
+  const auto opts = bench::BenchOptions::parse(
+      "Extension: response times vs load (auction, bidding mix)", argc, argv);
   std::printf("== Extension: response times vs load (auction, bidding mix) ==\n\n");
 
   const std::vector<core::Configuration> configs{

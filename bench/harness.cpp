@@ -1,8 +1,6 @@
 #include "bench/harness.hpp"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "core/parallel.hpp"
 #include "obs/analyzer.hpp"
@@ -11,20 +9,6 @@
 namespace mwsim::bench {
 
 namespace {
-
-const char* argValue(int argc, char** argv, const char* flag) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return argv[i + 1];
-  }
-  return nullptr;
-}
-
-bool argPresent(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  }
-  return false;
-}
 
 std::vector<int> thin(const std::vector<int>& points) {
   if (points.size() <= 3) return points;
@@ -42,46 +26,62 @@ void printHeader(const FigureSpec& spec, const BenchOptions& opts) {
   std::printf("(measure %.0fs, ramp-up %.0fs, seed %llu%s)\n\n", opts.measureSec,
               opts.rampUpSec, static_cast<unsigned long long>(opts.seed),
               opts.fullScale ? ", full-scale database" : "");
-  if (opts.jobs > 1) std::fprintf(stderr, "  (--jobs %d worker threads)\n", opts.jobs);
+  if (opts.jobs > 1) std::fprintf(stderr, "  (--jobs %u worker threads)\n", opts.jobs);
   std::fflush(stdout);
 }
 
 }  // namespace
 
-BenchOptions BenchOptions::parse(int argc, char** argv) {
-  BenchOptions opts;
-  if (const char* v = argValue(argc, argv, "--measure-sec")) opts.measureSec = std::atof(v);
-  if (const char* v = argValue(argc, argv, "--rampup-sec")) opts.rampUpSec = std::atof(v);
-  if (const char* v = argValue(argc, argv, "--seed")) {
-    opts.seed = static_cast<std::uint64_t>(std::atoll(v));
+void BenchOptions::declare(cli::Parser& parser, unsigned extra) {
+  parser.add("--measure-sec", measureSec, "measurement window, simulated seconds")
+      .add("--rampup-sec", rampUpSec, "ramp-up before the window, simulated seconds")
+      .add("--seed", seed, "root seed; every point derives its own from it")
+      .add("--jobs", jobs, "worker threads for independent points, 0 = one per hardware thread")
+      .add("--full-scale", fullScale, "paper-sized database history tables");
+  if (extra & kQuick) parser.add("--quick", quick, "halve the sweep points");
+  if (extra & kCsv) parser.add("--csv", csv, "also print the results as CSV");
+  if (extra & kBreakdown) {
+    parser.add("--breakdown", breakdown, "print per-tier latency attribution tables");
   }
-  if (const char* v = argValue(argc, argv, "--jobs")) {
-    opts.jobs = std::atoi(v);
-    if (opts.jobs <= 0) opts.jobs = core::defaultJobCount();
+  if (extra & kTraceOut) {
+    parser.add("--trace-out", traceOut,
+               "write the first configuration's traced point as Chrome-trace JSON");
   }
-  opts.quick = argPresent(argc, argv, "--quick");
-  opts.csv = argPresent(argc, argv, "--csv");
-  opts.fullScale = argPresent(argc, argv, "--full-scale");
-  opts.breakdown = argPresent(argc, argv, "--breakdown");
-  opts.noMetrics = argPresent(argc, argv, "--no-metrics");
-  if (const char* v = argValue(argc, argv, "--trace-out")) opts.traceOut = v;
-  if (const char* v = argValue(argc, argv, "--metrics-out")) opts.metricsOut = v;
-  if (opts.noMetrics && !opts.metricsOut.empty()) {
-    std::fprintf(stderr,
-                 "error: --no-metrics and --metrics-out conflict: --metrics-out writes "
-                 "the report that --no-metrics drops\n");
-    std::exit(2);
+  if (extra & kMetricsOut) {
+    parser.add("--metrics-out", metricsOut,
+               "write the first configuration's peak-point metrics and verdict as JSON");
   }
-  if (opts.tracing() && !trace::kEnabled) {
+  if (extra & kNoMetrics) {
+    parser.add("--no-metrics", noMetrics, "print no bottleneck verdicts (results are unchanged)");
+  }
+  parser.check([this] {
+    return noMetrics && !metricsOut.empty()
+               ? std::string("--no-metrics and --metrics-out conflict: --metrics-out writes "
+                             "the report that --no-metrics drops")
+               : std::string();
+  });
+}
+
+void BenchOptions::parse(cli::Parser& parser, int argc, char** argv, unsigned extra) {
+  declare(parser, extra);
+  parser.parse(argc, argv);
+  if (jobs == 0) jobs = static_cast<unsigned>(core::defaultJobCount());
+  if (tracing() && !trace::kEnabled) {
     std::fprintf(stderr,
                  "note: built with -DMWSIM_TRACING=OFF; "
                  "--breakdown/--trace-out will produce no output\n");
   }
-  if (!opts.metricsOut.empty() && !obs::kEnabled) {
+  if (!metricsOut.empty() && !obs::kEnabled) {
     std::fprintf(stderr,
                  "note: built with -DMWSIM_METRICS=OFF; "
                  "--metrics-out will produce no output\n");
   }
+}
+
+BenchOptions BenchOptions::parse(std::string summary, int argc, char** argv, unsigned extra) {
+  BenchOptions opts;
+  cli::Parser parser(std::move(summary));
+  opts.parse(parser, argc, argv, extra);
   return opts;
 }
 
@@ -173,7 +173,7 @@ void printVerdict(const char* label, int clients, const core::ExperimentResult& 
 
 core::SweepOptions BenchOptions::sweepOptions() const {
   core::SweepOptions sweep;
-  sweep.jobs = jobs;
+  sweep.jobs = static_cast<int>(jobs);
   sweep.onResult = [](std::size_t, const core::ExperimentParams& params,
                       const core::ExperimentResult& result) {
     std::fprintf(stderr, "  [%s %d clients] %.0f ipm\n",
@@ -191,8 +191,11 @@ core::ExperimentParams BenchOptions::baseParams(const FigureSpec& spec) const {
   params.rampUp = sim::fromSeconds(rampUpSec);
   params.measure = sim::fromSeconds(measureSec);
   params.rampDown = sim::fromSeconds(5);
-  params.bookstoreScale = fullScale ? 1.0 : 0.25;
-  params.auctionHistoryScale = fullScale ? 1.0 : 0.10;
+  if (fullScale) {
+    params.bookstoreScale = 1.0;
+    params.auctionHistoryScale = 1.0;
+    params.bbsHistoryScale = 1.0;
+  }
   // The metrics report is attached by default, so every figure bench prints
   // its bottleneck verdict; every run samples either way.
   params.metrics.enabled = metrics();
@@ -200,7 +203,9 @@ core::ExperimentParams BenchOptions::baseParams(const FigureSpec& spec) const {
 }
 
 int runThroughputFigure(const FigureSpec& spec, int argc, char** argv) {
-  const BenchOptions opts = BenchOptions::parse(argc, argv);
+  const BenchOptions opts =
+      BenchOptions::parse(spec.summary(), argc, argv,
+                          kQuick | kCsv | kBreakdown | kTraceOut | kMetricsOut | kNoMetrics);
   printHeader(spec, opts);
 
   const std::vector<int> points = opts.quick ? thin(spec.clients) : spec.clients;
@@ -291,7 +296,8 @@ int runThroughputFigure(const FigureSpec& spec, int argc, char** argv) {
 }
 
 int runCpuFigure(const FigureSpec& spec, int argc, char** argv) {
-  const BenchOptions opts = BenchOptions::parse(argc, argv);
+  const BenchOptions opts = BenchOptions::parse(
+      spec.summary(), argc, argv, kQuick | kBreakdown | kTraceOut | kMetricsOut | kNoMetrics);
   printHeader(spec, opts);
 
   stats::TextTable table({"configuration", "peak ipm", "clients", "WebServer", "Database",

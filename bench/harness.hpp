@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/cli.hpp"
 #include "core/experiment.hpp"
 
 namespace mwsim::bench {
@@ -26,36 +27,32 @@ struct FigureSpec {
   std::vector<int> peakCandidates;
   /// Configurations to run (defaults to all six).
   std::vector<core::Configuration> configs = core::allConfigurations();
+
+  /// The bench's --help summary.
+  std::string summary() const { return std::string(id) + ": " + title; }
 };
 
-/// Common CLI options for all benches:
-///   --measure-sec N   measurement window (default 60)
-///   --rampup-sec N    ramp-up (default: the core ExperimentParams default)
-///   --seed N
-///   --jobs N          worker threads for independent sweep points
-///                     (default 1 = sequential; 0 = one per hardware thread).
-///                     Output is byte-identical for every jobs value.
-///   --quick           halve the sweep points
-///   --csv             also emit CSV
-///   --full-scale      paper-sized database history tables
-///   --breakdown       per-tier latency attribution tables (throughput
-///                     figures: at the largest client count; CPU figures:
-///                     at each configuration's located peak)
-///   --trace-out FILE  Chrome-trace/Perfetto JSON for the first
-///                     configuration's traced point (with metrics on, the
-///                     stream also carries the sampled counter tracks)
-///   --metrics-out FILE  metrics JSON (series + verdict) for the first
-///                     configuration's peak point
-///   --no-metrics      attach no metrics report and print no verdicts
-///                     (every run still samples; results are unchanged);
-///                     rejected together with --metrics-out
+/// The common bench flags beyond the five every bench reads (--measure-sec,
+/// --rampup-sec, --seed, --jobs and --full-scale). A bench or's together the
+/// ones it reads; BenchOptions::declare holds each flag's name and help line.
+enum CommonFlags : unsigned {
+  kQuick = 1u << 0,
+  kCsv = 1u << 1,
+  kBreakdown = 1u << 2,
+  kTraceOut = 1u << 3,
+  kMetricsOut = 1u << 4,
+  kNoMetrics = 1u << 5,
+};
+
+/// Values of the common bench flags. The defaults are the field values.
 struct BenchOptions {
   double measureSec = 60;
   /// Single source of truth is ExperimentParams::rampUp; this only exists
   /// so --rampup-sec can override it.
   double rampUpSec = sim::toSeconds(core::ExperimentParams{}.rampUp);
   std::uint64_t seed = 1;
-  int jobs = 1;
+  /// 0 on the command line means one per hardware thread; parse() resolves it.
+  unsigned jobs = 1;
   bool quick = false;
   bool csv = false;
   bool fullScale = false;
@@ -67,7 +64,13 @@ struct BenchOptions {
   bool tracing() const { return breakdown || !traceOut.empty(); }
   bool metrics() const { return obs::kEnabled && !noMetrics; }
 
-  static BenchOptions parse(int argc, char** argv);
+  /// Declares the five flags every bench reads and those in `extra` (a
+  /// CommonFlags mask) on `parser`, each filling its field.
+  void declare(cli::Parser& parser, unsigned extra);
+  /// declare(), then cli::Parser::parse, which exits on bad input or --help.
+  void parse(cli::Parser& parser, int argc, char** argv, unsigned extra);
+  /// parse() for a bench with no flags of its own.
+  static BenchOptions parse(std::string summary, int argc, char** argv, unsigned extra = 0);
   core::ExperimentParams baseParams(const FigureSpec& spec) const;
   /// SweepOptions carrying --jobs plus a stderr per-point progress printer.
   core::SweepOptions sweepOptions() const;

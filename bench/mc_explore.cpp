@@ -13,29 +13,26 @@
 //   --mode default  one canonical schedule per scenario (bit-identical to a
 //                   plain simulation run — the production tie-break order)
 //   --mode random   --runs N randomized schedules per scenario
-//
-// Other flags: --scenario NAME (repeatable), --list, --no-reduction,
-// --max-schedules N, --runs N, --seed N, --expect-deadlock.
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "bench/cli.hpp"
 #include "mc/explorer.hpp"
 #include "mc/scenarios.hpp"
 
 namespace mc = mwsim::mc;
+namespace cli = mwsim::cli;
 
 namespace {
 
 struct Options {
   std::string mode = "dfs";
-  std::vector<std::string> scenarios;
-  bool reduction = true;
+  std::string scenario;
+  bool noReduction = false;
   bool list = false;
   bool expectDeadlock = false;
   std::uint64_t maxSchedules = 1u << 20;
@@ -43,79 +40,16 @@ struct Options {
   std::uint64_t seed = 1;
 };
 
-[[noreturn]] void usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--mode dfs|default|random] [--scenario NAME]...\n"
-               "          [--list] [--no-reduction] [--max-schedules N]\n"
-               "          [--runs N] [--seed N] [--expect-deadlock]\n",
-               argv0);
-  std::exit(2);
-}
-
-Options parseArgs(int argc, char** argv) {
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) usage(argv[0]);
-      return argv[++i];
-    };
-    if (arg == "--mode") {
-      opt.mode = value();
-      if (opt.mode != "dfs" && opt.mode != "default" && opt.mode != "random") {
-        usage(argv[0]);
-      }
-    } else if (arg == "--scenario") {
-      opt.scenarios.push_back(value());
-    } else if (arg == "--list") {
-      opt.list = true;
-    } else if (arg == "--no-reduction") {
-      opt.reduction = false;
-    } else if (arg == "--max-schedules") {
-      opt.maxSchedules = std::strtoull(value(), nullptr, 10);
-    } else if (arg == "--runs") {
-      opt.runs = std::strtoull(value(), nullptr, 10);
-    } else if (arg == "--seed") {
-      opt.seed = std::strtoull(value(), nullptr, 10);
-    } else if (arg == "--expect-deadlock") {
-      opt.expectDeadlock = true;
-    } else {
-      usage(argv[0]);
-    }
-  }
-  return opt;
-}
-
 struct Entry {
   std::unique_ptr<mc::Scenario> scenario;
   bool green;  // properties must hold on every schedule
 };
 
-std::vector<Entry> buildSuite(const Options& opt) {
-  std::vector<Entry> all;
-  for (auto& s : mc::greenScenarios()) all.push_back({std::move(s), true});
-  if (opt.expectDeadlock || !opt.scenarios.empty()) {
-    all.push_back({mc::makeLockTables(/*reversedOrder=*/true), false});
-    all.push_back({mc::makeMyisamRw(/*readerPreferenceMutation=*/true), false});
-  }
-  if (opt.scenarios.empty()) return all;
-  std::vector<Entry> picked;
-  for (const std::string& want : opt.scenarios) {
-    bool found = false;
-    for (auto& e : all) {
-      if (e.scenario != nullptr && want == e.scenario->name()) {
-        picked.push_back(std::move(e));
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      std::fprintf(stderr, "unknown scenario '%s' (try --list)\n",
-                   want.c_str());
-      std::exit(2);
-    }
-  }
-  return picked;
+/// The --scenario one; without it, the green ones, plus the red ones under
+/// --expect-deadlock.
+bool picked(const Entry& e, const Options& opt) {
+  if (!opt.scenario.empty()) return opt.scenario == e.scenario->name();
+  return e.green || opt.expectDeadlock;
 }
 
 void printStats(const mc::ExploreStats& st) {
@@ -140,13 +74,28 @@ void printStats(const mc::ExploreStats& st) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opt = parseArgs(argc, argv);
+  // The green scenarios, then the two red ones with known counterexamples.
+  std::vector<Entry> all;
+  for (auto& s : mc::greenScenarios()) all.push_back({std::move(s), true});
+  all.push_back({mc::makeLockTables(/*reversedOrder=*/true), false});
+  all.push_back({mc::makeMyisamRw(/*readerPreferenceMutation=*/true), false});
+  std::vector<std::string> names;
+  for (const Entry& e : all) names.emplace_back(e.scenario->name());
+  Options opt;
+  cli::Parser("Schedule-exhaustive model checking of the lock subsystem")
+      .choice("--mode", opt.mode, {"dfs", "default", "random"},
+              "exhaustive, the production schedule, or randomized schedules")
+      .choice("--scenario", opt.scenario, names, "explore only this scenario (see --list)")
+      .add("--list", opt.list, "list the scenarios and exit")
+      .add("--no-reduction", opt.noReduction, "explore without sleep-set reduction")
+      .add("--max-schedules", opt.maxSchedules, "schedule budget per scenario (dfs)")
+      .add("--runs", opt.runs, "randomized schedules per scenario (random)")
+      .add("--seed", opt.seed, "exploration seed")
+      .add("--expect-deadlock", opt.expectDeadlock,
+           "also explore the red scenarios and fail unless a deadlock is found (dfs)")
+      .parse(argc, argv);
 
   if (opt.list) {
-    std::vector<Entry> all;
-    for (auto& s : mc::greenScenarios()) all.push_back({std::move(s), true});
-    all.push_back({mc::makeLockTables(true), false});
-    all.push_back({mc::makeMyisamRw(true), false});
     for (const Entry& e : all) {
       std::printf("%-26s %s  # %s\n", e.scenario->name(),
                   e.green ? "[green]" : "[red]  ", e.scenario->description());
@@ -154,11 +103,11 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const std::vector<Entry> suite = buildSuite(opt);
   int failures = 0;
   bool deadlockFound = false;
 
-  for (const Entry& e : suite) {
+  for (const Entry& e : all) {
+    if (!picked(e, opt)) continue;
     mc::Explorer explorer;
     mc::ExploreStats st;
     if (opt.mode == "random") {
@@ -176,11 +125,11 @@ int main(int argc, char** argv) {
     } else {
       mc::ExploreOptions eo;
       eo.maxSchedules = opt.maxSchedules;
-      eo.reduction = opt.reduction;
+      eo.reduction = !opt.noReduction;
       eo.seed = opt.seed;
       st = explorer.explore(*e.scenario, eo);
       std::printf("[%s] dfs%s\n", e.scenario->name(),
-                  opt.reduction ? "" : " (no reduction)");
+                  opt.noReduction ? " (no reduction)" : "");
     }
     printStats(st);
 

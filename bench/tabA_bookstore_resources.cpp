@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
       "bottleneck";
   spec.app = core::App::Bookstore;
   spec.mix = 1;
-  const auto opts = bench::BenchOptions::parse(argc, argv);
+  const auto opts = bench::BenchOptions::parse(spec.summary(), argc, argv);
   std::printf("== %s: %s ==\npaper: %s\n\n", spec.id, spec.title, spec.paperExpectation);
 
   const std::vector<core::Configuration> configs{core::Configuration::WsPhpDb,

@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
       "only ~0.5 Mb/s; servlet <-> database ~1.8 Mb/s; no disk/memory bottleneck";
   spec.app = core::App::Auction;
   spec.mix = 1;
-  const auto opts = bench::BenchOptions::parse(argc, argv);
+  const auto opts = bench::BenchOptions::parse(spec.summary(), argc, argv);
   std::printf("== %s: %s ==\npaper: %s\n\n", spec.id, spec.title, spec.paperExpectation);
 
   struct Run {

@@ -9,11 +9,16 @@
 
 #include <cstdio>
 
+#include "bench/cli.hpp"
 #include "core/experiment.hpp"
 #include "stats/report.hpp"
 
 int main(int argc, char** argv) {
   using namespace mwsim;
+  std::vector<int> loads{600, 1100, 1500};
+  cli::Parser("Auction bidding mix: PHP vs co-located vs dedicated servlet engine")
+      .add("--clients", loads, "emulated-browser counts, one table row each")
+      .parse(argc, argv);
 
   core::ExperimentParams params;
   params.app = core::App::Auction;
@@ -21,9 +26,6 @@ int main(int argc, char** argv) {
   params.rampUp = 30 * sim::kSecond;
   params.measure = 80 * sim::kSecond;
   params.rampDown = 5 * sim::kSecond;
-
-  const std::vector<int> loads =
-      argc > 1 ? std::vector<int>{std::atoi(argv[1])} : std::vector<int>{600, 1100, 1500};
 
   const std::vector<core::Configuration> deployments{
       core::Configuration::WsPhpDb,

@@ -8,12 +8,16 @@
 
 #include <cstdio>
 
+#include "bench/cli.hpp"
 #include "core/experiment.hpp"
 #include "stats/report.hpp"
 
 int main(int argc, char** argv) {
   using namespace mwsim;
-  const int clients = argc > 1 ? std::atoi(argv[1]) : 700;
+  int clients = 700;
+  cli::Parser("Bookstore shopping mix: LOCK TABLES in MySQL vs Java monitors in the servlets")
+      .add("--clients", clients, "emulated browsers")
+      .parse(argc, argv);
 
   core::ExperimentParams params;
   params.app = core::App::Bookstore;

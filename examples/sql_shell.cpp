@@ -4,25 +4,29 @@
 /// benchmark's schema and data, then type SQL against it. Handy for
 /// exploring what the simulated applications actually query.
 ///
-///   $ ./sql_shell bookstore
+///   $ ./sql_shell --app bookstore
 ///   sql> SELECT COUNT(*) AS n FROM items
 ///   sql> SELECT i_title FROM items WHERE i_id = 42
 ///   sql> \q
 
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 #include <string>
 
 #include "apps/auction/schema.hpp"
 #include "apps/bookstore/schema.hpp"
+#include "bench/cli.hpp"
 #include "db/executor.hpp"
 #include "stats/report.hpp"
 
 int main(int argc, char** argv) {
   using namespace mwsim;
 
-  const bool auction = argc > 1 && std::strcmp(argv[1], "auction") == 0;
+  bool auction = false;
+  cli::Parser("Interactive SQL shell over a benchmark database")
+      .choice("--app", auction, {{"bookstore", false}, {"auction", true}},
+              "benchmark whose schema and data to load")
+      .parse(argc, argv);
   db::Database database;
   sim::Rng rng(1);
   if (auction) {
