@@ -3,6 +3,7 @@
 /// confirm the simulator itself is not the bottleneck of the benches.
 #include <benchmark/benchmark.h>
 
+#include "apps/auction/schema.hpp"
 #include "apps/bookstore/schema.hpp"
 #include "db/executor.hpp"
 #include "db/parser.hpp"
@@ -205,6 +206,85 @@ void BM_PlannedAggregateFastPath(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PlannedAggregateFastPath);
+
+// --- the auction site's hot statements ---
+//
+// The SELECTs that dominate a Figure 11/12 point, on an auction dataset
+// with the full 33,000 live items (about 825 per category) and a tenth of
+// the user and history tables (about 1,600 users per region), the setting
+// every figure bench uses. Each plans once and cycles its parameters.
+
+struct AuctionFixture {
+  db::Database database;
+  db::Executor exec{database};
+
+  AuctionFixture() {
+    apps::auction::Scale scale;
+    scale.historyScale = 0.1;
+    apps::auction::createSchema(database);
+    sim::Rng rng(1);
+    apps::auction::populate(database, scale, rng);
+  }
+};
+
+AuctionFixture& auctionFixture() {
+  static AuctionFixture f;
+  return f;
+}
+
+void BM_PlannedCategoryWindow(benchmark::State& state) {
+  // SearchItemsInCategory, second page: an index walk over one category,
+  // then the 25-row window of a sort by another column.
+  auto& f = auctionFixture();
+  const db::PlannedStatement stmt(db::parseSql(
+      "SELECT i_id, i_name, i_initial_price, i_max_bid, i_nb_of_bids, i_end_date, "
+      "i_thumbnail_bytes FROM items WHERE i_category = ? ORDER BY i_end_date "
+      "LIMIT 25 OFFSET 25"));
+  std::int64_t category = 0;
+  for (auto _ : state) {
+    const db::Value params[] = {db::Value(category + 1)};
+    benchmark::DoNotOptimize(f.exec.execute(stmt, params));
+    category = (category + 1) % 40;
+  }
+}
+BENCHMARK(BM_PlannedCategoryWindow);
+
+void BM_PlannedRegionJoin(benchmark::State& state) {
+  // SearchItemsInRegion: the region's users by index, each user's items by
+  // index, the category as a residual filter, then the window.
+  auto& f = auctionFixture();
+  const db::PlannedStatement stmt(db::parseSql(
+      "SELECT i.i_id, i.i_name, i.i_initial_price, i.i_max_bid, i.i_nb_of_bids, "
+      "i.i_end_date, i.i_thumbnail_bytes "
+      "FROM users u JOIN items i ON i.i_seller = u.u_id "
+      "WHERE u.u_region = ? AND i.i_category = ? ORDER BY i.i_end_date LIMIT 25"));
+  std::int64_t n = 0;
+  for (auto _ : state) {
+    const db::Value params[] = {db::Value(n % 62 + 1), db::Value(n % 40 + 1)};
+    benchmark::DoNotOptimize(f.exec.execute(stmt, params));
+    ++n;
+  }
+}
+BENCHMARK(BM_PlannedRegionJoin);
+
+void BM_PlannedLikeWindow(benchmark::State& state) {
+  // The bulletin board's search shape (`s_title LIKE ? ORDER BY s_date DESC
+  // LIMIT 25`) over the item names. The board's s_date is indexed, so its
+  // sort rides the index; here the key is unindexed, so every match enters
+  // the window sort. A two-letter infix matches about 800 items.
+  auto& f = auctionFixture();
+  const db::PlannedStatement stmt(db::parseSql(
+      "SELECT i_id, i_name, i_max_bid FROM items WHERE i_name LIKE ? "
+      "ORDER BY i_max_bid DESC LIMIT 25"));
+  const char* const needles[] = {"%ab%", "%er%", "%qu%", "%st%"};
+  std::size_t n = 0;
+  for (auto _ : state) {
+    const db::Value params[] = {db::Value(needles[n % 4])};
+    benchmark::DoNotOptimize(f.exec.execute(stmt, params));
+    ++n;
+  }
+}
+BENCHMARK(BM_PlannedLikeWindow);
 
 // The insert benchmarks mutate the fixture (order_line grows by one row per
 // iteration), so they run last: every read benchmark above — ad hoc and

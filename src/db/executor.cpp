@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 #include <stdexcept>
 
 #include "db/parser.hpp"
@@ -77,9 +78,13 @@ Value evalBinary(BinOp op, const Value& a, const Value& b) {
       return Value(static_cast<std::int64_t>(valueIsTrue(a) && valueIsTrue(b)));
     case BinOp::Or:
       return Value(static_cast<std::int64_t>(valueIsTrue(a) || valueIsTrue(b)));
-    case BinOp::Like:
+    case BinOp::Like: {
       if (a.isNull() || b.isNull()) return Value(std::int64_t{0});
-      return Value(static_cast<std::int64_t>(likeMatch(a.toDisplayString(), b.asString())));
+      // A string is matched in place; numbers match their display form.
+      const bool match = a.isString() ? likeMatch(a.asString(), b.asString())
+                                      : likeMatch(a.toDisplayString(), b.asString());
+      return Value(static_cast<std::int64_t>(match));
+    }
     case BinOp::Eq:
     case BinOp::Ne:
     case BinOp::Lt:
@@ -128,34 +133,63 @@ Value evalBinary(BinOp op, const Value& a, const Value& b) {
   throw std::runtime_error("unhandled binary op");
 }
 
+const Value& paramAt(const CompiledExpr& e, std::span<const Value> params) {
+  if (e.paramIndex > params.size()) {
+    throw std::runtime_error("missing bind parameter " + std::to_string(e.paramIndex));
+  }
+  return params[e.paramIndex - 1];
+}
+
 template <typename Src>
-Value evalExpr(const CompiledExpr& e, std::span<const Value> params, const Src& src) {
+Value evalExpr(const CompiledExpr& e, std::span<const Value> params, const Src& src);
+
+/// Reads an operand without copying it: a literal, a parameter or a column
+/// value is returned where it lives; anything else is evaluated into
+/// `scratch`.
+template <typename Src>
+const Value& evalRef(const CompiledExpr& e, std::span<const Value> params, const Src& src,
+                     Value& scratch) {
   switch (e.kind) {
     case Expr::Kind::Literal:
       return e.literal;
     case Expr::Kind::Param:
-      if (e.paramIndex > params.size()) {
-        throw std::runtime_error("missing bind parameter " + std::to_string(e.paramIndex));
-      }
-      return params[e.paramIndex - 1];
+      return paramAt(e, params);
+    case Expr::Kind::Column:
+      return src.at(e.col);
+    default:
+      scratch = evalExpr(e, params, src);
+      return scratch;
+  }
+}
+
+template <typename Src>
+Value evalExpr(const CompiledExpr& e, std::span<const Value> params, const Src& src) {
+  Value lhs;  // scratch for operands that are not read in place
+  Value rhs;
+  switch (e.kind) {
+    case Expr::Kind::Literal:
+      return e.literal;
+    case Expr::Kind::Param:
+      return paramAt(e, params);
     case Expr::Kind::Column:
       return src.at(e.col);
     case Expr::Kind::Binary:
-      return evalBinary(e.op, evalExpr(*e.lhs, params, src), evalExpr(*e.rhs, params, src));
+      return evalBinary(e.op, evalRef(*e.lhs, params, src, lhs),
+                        evalRef(*e.rhs, params, src, rhs));
     case Expr::Kind::In: {
-      const Value needle = evalExpr(*e.lhs, params, src);
+      const Value& needle = evalRef(*e.lhs, params, src, lhs);
       if (needle.isNull()) return Value(std::int64_t{0});
       for (const auto& item : e.list) {
-        if (needle.compare(evalExpr(*item, params, src)) == 0) return Value(std::int64_t{1});
+        if (needle.compare(evalRef(*item, params, src, rhs)) == 0) return Value(std::int64_t{1});
       }
       return Value(std::int64_t{0});
     }
     case Expr::Kind::IsNull: {
-      const bool isNull = evalExpr(*e.lhs, params, src).isNull();
+      const bool isNull = evalRef(*e.lhs, params, src, lhs).isNull();
       return Value(static_cast<std::int64_t>(isNull != e.negated));
     }
     case Expr::Kind::Not:
-      return Value(static_cast<std::int64_t>(!valueIsTrue(evalExpr(*e.lhs, params, src))));
+      return Value(static_cast<std::int64_t>(!valueIsTrue(evalRef(*e.lhs, params, src, lhs))));
     case Expr::Kind::Aggregate:
       throw std::runtime_error("aggregate in row context");
     case Expr::Kind::Star:
@@ -187,9 +221,10 @@ Value evalAggregate(const CompiledExpr& e, std::span<const Value> params,
   std::int64_t isum = 0;
   std::optional<Value> minV;
   std::optional<Value> maxV;
+  Value scratch;
   for (std::size_t i = 0; i < group.size(); ++i) {
     const FlatRow src = group.member(i);
-    const Value v = evalExpr(*e.aggArg, params, src);
+    const Value& v = evalRef(*e.aggArg, params, src, scratch);
     if (v.isNull()) continue;
     ++count;
     if (v.isNumeric()) {
@@ -342,7 +377,8 @@ void scanAccess(const AccessPath& a, const Table& table, std::span<const Value> 
 
     case AccessPath::Kind::PkEq: {
       stats.usedIndex = true;
-      const Value key = evalExpr(*a.eqKey, params, NoRow{});
+      Value scratch;
+      const Value& key = evalRef(*a.eqKey, params, NoRow{}, scratch);
       if (key.isNull()) return;  // `pk = NULL` matches nothing
       if (auto id = table.findByPk(key)) {
         count();
@@ -353,12 +389,13 @@ void scanAccess(const AccessPath& a, const Table& table, std::span<const Value> 
 
     case AccessPath::Kind::IndexEq: {
       stats.usedIndex = true;
-      const Value key = evalExpr(*a.eqKey, params, NoRow{});
+      Value scratch;
+      const Value& key = evalRef(*a.eqKey, params, NoRow{}, scratch);
       if (key.isNull()) return;
-      for (RowId id : table.findByIndex(a.column, key)) {
+      table.forEachIndexEq(a.column, key, [&](RowId id) {
         count();
-        if (!fn(id)) return;
-      }
+        return fn(id);
+      });
       return;
     }
 
@@ -380,11 +417,11 @@ void scanAccess(const AccessPath& a, const Table& table, std::span<const Value> 
             count();
             if (!fn(*id)) return;
           }
-        } else {
-          for (RowId id : table.findByIndex(a.column, key)) {
-            count();
-            if (!fn(id)) return;
-          }
+        } else if (!table.forEachIndexEq(a.column, key, [&](RowId id) {
+                     count();
+                     return fn(id);
+                   })) {
+          return;
         }
       }
       return;
@@ -487,10 +524,18 @@ class SelectExec {
     ResultSet rs;
     rs.columns.reserve(p_.items.size());
     for (const auto& item : p_.items) rs.columns.push_back(item.name);
-    if (p_.joins.empty() && !p_.grouped) {
-      runSingle(rs);
+    const bool needSort = !p_.orderBy.empty() && !p_.sortElided;
+    if (p_.joins.empty() && !p_.grouped && !needSort) {
+      runStreaming(rs);
     } else {
-      runGeneric(rs);
+      const std::vector<RowId> flat = bind();
+      if (p_.grouped) {
+        finishBuilt(groupRows(flat), rs);
+      } else if (p_.distinct) {
+        finishBuilt(projectAll(flat), rs);
+      } else {
+        finishLate(flat, rs);
+      }
     }
     stats_.rowsReturned += rs.rows.size();
     stats_.resultBytes += rs.byteSize();
@@ -498,23 +543,15 @@ class SelectExec {
   }
 
  private:
-  struct SortableRow {
-    Row out;
+  /// Output rows that must exist before the window is chosen (grouped or
+  /// DISTINCT), with their ORDER BY keys, row-major.
+  struct BuiltRows {
+    std::vector<Row> rows;
     std::vector<Value> keys;
   };
 
-  // ----- single-table, non-grouped: the hot path -----
-  bool passesFilters(const SingleRow& src) const {
-    for (const auto& c : p_.baseFilter) {
-      if (!valueIsTrue(evalExpr(*c, params_, src))) return false;
-    }
-    for (const auto& c : p_.residual) {
-      if (!valueIsTrue(evalExpr(*c, params_, src))) return false;
-    }
-    return true;
-  }
-
-  Row projectSingle(const SingleRow& src) const {
+  template <typename Src>
+  Row project(const Src& src) const {
     Row out;
     out.reserve(p_.items.size());
     for (const auto& item : p_.items) {
@@ -527,30 +564,28 @@ class SelectExec {
     return out;
   }
 
-  void runSingle(ResultSet& rs) {
-    const Table& table = *tables_[0];
-    const bool needSort = !p_.orderBy.empty() && !p_.sortElided;
-    const auto offset = static_cast<std::size_t>(p_.offset);
-
-    if (needSort) {
-      // Collect, then the shared distinct/sort/slice tail.
-      std::vector<SortableRow> rows;
-      scanAccess(p_.access, table, params_, stats_, [&](RowId id) {
-        const SingleRow src{&table.row(id)};
-        if (!passesFilters(src)) return true;
-        SortableRow r;
-        r.out = projectSingle(src);
-        r.keys.reserve(p_.orderBy.size());
-        for (const auto& ok : p_.orderBy) {
-          if (ok.outputIndex) r.keys.push_back(r.out[*ok.outputIndex]);
-          else r.keys.push_back(evalExpr(*ok.expr, params_, src));
-        }
-        rows.push_back(std::move(r));
-        return true;
-      });
-      finish(rows, rs);
-      return;
+  static bool sameRow(const Row& a, const Row& b) {
+    if (a.size() != b.size()) return false;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      if (a[i].compare(b[i]) != 0) return false;
     }
+    return true;
+  }
+
+  // ----- single-table, no sort pending: the streaming hot path -----
+  bool passesFilters(const SingleRow& src) const {
+    for (const auto& c : p_.baseFilter) {
+      if (!valueIsTrue(evalExpr(*c, params_, src))) return false;
+    }
+    for (const auto& c : p_.residual) {
+      if (!valueIsTrue(evalExpr(*c, params_, src))) return false;
+    }
+    return true;
+  }
+
+  void runStreaming(ResultSet& rs) {
+    const Table& table = *tables_[0];
+    const auto offset = static_cast<std::size_t>(p_.offset);
 
     if (p_.distinct) {
       // DISTINCT without a sort: stream with first-occurrence dedup; done
@@ -562,13 +597,9 @@ class SelectExec {
       scanAccess(p_.access, table, params_, stats_, [&](RowId id) {
         const SingleRow src{&table.row(id)};
         if (!passesFilters(src)) return true;
-        Row out = projectSingle(src);
+        Row out = project(src);
         for (const Row& kept : uniques) {
-          bool equal = kept.size() == out.size();
-          for (std::size_t i = 0; equal && i < kept.size(); ++i) {
-            equal = kept[i].compare(out[i]) == 0;
-          }
-          if (equal) return true;
+          if (sameRow(kept, out)) return true;
         }
         uniques.push_back(std::move(out));
         return !(want && uniques.size() >= *want);
@@ -593,17 +624,18 @@ class SelectExec {
         return true;
       }
       if (p_.limit && rs.rows.size() >= static_cast<std::size_t>(*p_.limit)) return false;
-      rs.rows.push_back(projectSingle(src));
+      rs.rows.push_back(project(src));
       return !(p_.limit && rs.rows.size() >= static_cast<std::size_t>(*p_.limit));
     });
   }
 
-  // ----- joins and/or grouping: flat bindings, no early exit -----
-  void runGeneric(ResultSet& rs) {
-    const std::size_t width = tables_.size();
+  // ----- everything else: candidate bindings, then the window -----
 
-    // Base access + base-only filter pushdown.
-    std::vector<RowId> flat;  // bindings, `stride` ids each
+  /// Candidate bindings in scan and join order, `tables_.size()` RowIds
+  /// each: the base access with the base-only filter pushed down, one
+  /// widening pass per join step, then the residual filter.
+  std::vector<RowId> bind() {
+    std::vector<RowId> flat;
     std::size_t stride = 1;
     scanAccess(p_.access, *tables_[0], params_, stats_, [&](RowId id) {
       const SingleRow src{&tables_[0]->row(id)};
@@ -614,15 +646,16 @@ class SelectExec {
       return true;
     });
 
-    // Join steps, widening each binding by one id.
     for (std::size_t j = 0; j < p_.joins.size(); ++j) {
       const SelectPlan::JoinStep& step = p_.joins[j];
       const Table& inner = *tables_[j + 1];
       const std::size_t innerBytes = inner.avgRowBytes();
       std::vector<RowId> next;
       const std::size_t n = flat.size() / stride;
+      Value scratch;
       for (std::size_t b = 0; b < n; ++b) {
         const RowId* ids = flat.data() + b * stride;
+        const FlatRow outer{&tables_, ids};
         auto extend = [&](RowId id) {
           next.insert(next.end(), ids, ids + stride);
           next.push_back(id);
@@ -630,7 +663,7 @@ class SelectExec {
         switch (step.kind) {
           case SelectPlan::JoinStep::Kind::PkLookup: {
             stats_.usedIndex = true;
-            const Value key = evalExpr(*step.outerKey, params_, FlatRow{&tables_, ids});
+            const Value& key = evalRef(*step.outerKey, params_, outer, scratch);
             if (key.isNull()) break;  // NULL never joins
             if (auto id = inner.findByPk(key)) {
               ++stats_.rowsExamined;
@@ -641,17 +674,18 @@ class SelectExec {
           }
           case SelectPlan::JoinStep::Kind::IndexLookup: {
             stats_.usedIndex = true;
-            const Value key = evalExpr(*step.outerKey, params_, FlatRow{&tables_, ids});
+            const Value& key = evalRef(*step.outerKey, params_, outer, scratch);
             if (key.isNull()) break;
-            for (RowId id : inner.findByIndex(step.innerColumn, key)) {
+            inner.forEachIndexEq(step.innerColumn, key, [&](RowId id) {
               ++stats_.rowsExamined;
               stats_.bytesExamined += innerBytes;
               extend(id);
-            }
+              return true;
+            });
             break;
           }
           case SelectPlan::JoinStep::Kind::ScanEq: {
-            const Value key = evalExpr(*step.outerKey, params_, FlatRow{&tables_, ids});
+            const Value& key = evalRef(*step.outerKey, params_, outer, scratch);
             inner.forEachRow([&](RowId id) {
               ++stats_.rowsExamined;
               stats_.bytesExamined += innerBytes;
@@ -672,7 +706,6 @@ class SelectExec {
       ++stride;
     }
 
-    // Residual filter over fully bound rows.
     if (!p_.residual.empty()) {
       std::vector<RowId> kept;
       const std::size_t n = flat.size() / stride;
@@ -690,39 +723,76 @@ class SelectExec {
       }
       flat = std::move(kept);
     }
-
-    (void)width;
-    std::vector<SortableRow> rows;
-    const std::size_t n = flat.size() / stride;
-    if (p_.grouped) {
-      projectGrouped(flat, stride, n, rows);
-    } else {
-      for (std::size_t b = 0; b < n; ++b) {
-        const FlatRow src{&tables_, flat.data() + b * stride};
-        SortableRow r;
-        r.out.reserve(p_.items.size());
-        for (const auto& item : p_.items) {
-          if (item.direct) r.out.push_back(src.at(*item.direct));
-          else r.out.push_back(evalExpr(*item.expr, params_, src));
-        }
-        r.keys.reserve(p_.orderBy.size());
-        for (const auto& ok : p_.orderBy) {
-          if (ok.outputIndex) r.keys.push_back(r.out[*ok.outputIndex]);
-          else r.keys.push_back(evalExpr(*ok.expr, params_, src));
-        }
-        rows.push_back(std::move(r));
-      }
-    }
-    finish(rows, rs);
+    return flat;
   }
 
-  void projectGrouped(const std::vector<RowId>& flat, std::size_t stride, std::size_t n,
-                      std::vector<SortableRow>& rows) {
+  /// A sort key that is a plain column (directly, or as the alias of a plain
+  /// column item) reads the row in place: tables do not change during a
+  /// SELECT. Null for a key that must be evaluated.
+  const PlanColumnRef* keyColumn(const SelectPlan::OrderKey& key) const {
+    if (key.outputIndex) {
+      const auto& item = p_.items[*key.outputIndex];
+      return item.direct ? &*item.direct : nullptr;
+    }
+    return key.expr->kind == Expr::Kind::Column ? &key.expr->col : nullptr;
+  }
+
+  /// Late materialization: sort keys are read for every candidate binding,
+  /// and only the bindings in the window are projected.
+  void finishLate(const std::vector<RowId>& flat, ResultSet& rs) {
+    const std::size_t width = tables_.size();
+    const std::size_t n = flat.size() / width;
+    std::vector<const Value*> keys;
+    std::vector<Value> computed;
+    if (!p_.orderBy.empty()) {
+      std::size_t evaluated = 0;
+      for (const auto& ok : p_.orderBy) evaluated += keyColumn(ok) == nullptr ? 1 : 0;
+      keys.reserve(n * p_.orderBy.size());
+      computed.reserve(n * evaluated);  // never reallocates: keys point into it
+      for (std::size_t b = 0; b < n; ++b) {
+        const FlatRow src{&tables_, flat.data() + b * width};
+        for (const auto& ok : p_.orderBy) {
+          if (const PlanColumnRef* col = keyColumn(ok)) {
+            keys.push_back(&src.at(*col));
+          } else {
+            const CompiledExpr& e = ok.outputIndex ? *p_.items[*ok.outputIndex].expr : *ok.expr;
+            computed.push_back(evalExpr(e, params_, src));
+            keys.push_back(&computed.back());
+          }
+        }
+      }
+    }
+    for (const std::uint32_t pos : window(n, keys)) {
+      rs.rows.push_back(project(FlatRow{&tables_, flat.data() + pos * width}));
+    }
+  }
+
+  /// Every candidate projected with its keys, for DISTINCT.
+  BuiltRows projectAll(const std::vector<RowId>& flat) const {
+    const std::size_t width = tables_.size();
+    const std::size_t n = flat.size() / width;
+    BuiltRows built;
+    built.rows.reserve(n);
+    built.keys.reserve(n * p_.orderBy.size());
+    for (std::size_t b = 0; b < n; ++b) {
+      const FlatRow src{&tables_, flat.data() + b * width};
+      built.rows.push_back(project(src));
+      for (const auto& ok : p_.orderBy) {
+        if (ok.outputIndex) built.keys.push_back(built.rows.back()[*ok.outputIndex]);
+        else built.keys.push_back(evalExpr(*ok.expr, params_, src));
+      }
+    }
+    return built;
+  }
+
+  BuiltRows groupRows(const std::vector<RowId>& flat) {
+    const std::size_t width = tables_.size();
+    const std::size_t n = flat.size() / width;
     // Group keys are compared with Value::compare via std::map, so group
     // iteration (and thus pre-sort output order) is deterministic.
     std::map<std::vector<Value>, std::vector<const RowId*>> groups;
     for (std::size_t b = 0; b < n; ++b) {
-      const RowId* ids = flat.data() + b * stride;
+      const RowId* ids = flat.data() + b * width;
       const FlatRow src{&tables_, ids};
       std::vector<Value> key;
       key.reserve(p_.groupKeys.size());
@@ -733,6 +803,7 @@ class SelectExec {
       groups[{}] = {};  // aggregates over an empty input produce one row
     }
     stats_.aggregatedGroups += groups.size();
+    BuiltRows built;
     for (auto& [key, members] : groups) {
       const GroupView group{&tables_, &members};
       if (members.empty() && !p_.groupKeys.empty()) continue;
@@ -740,77 +811,96 @@ class SelectExec {
           !valueIsTrue(evalGrouped(*p_.having, params_, group))) {
         continue;
       }
-      SortableRow r;
-      r.out.reserve(p_.items.size());
+      Row out;
+      out.reserve(p_.items.size());
       for (const auto& item : p_.items) {
         if (members.empty()) {
           // COUNT over empty input is 0; anything else is NULL.
           if (item.expr && item.expr->kind == Expr::Kind::Aggregate &&
               item.expr->agg == AggFunc::Count) {
-            r.out.push_back(Value(std::int64_t{0}));
+            out.push_back(Value(std::int64_t{0}));
           } else {
-            r.out.push_back(Value());
+            out.push_back(Value());
           }
         } else if (item.direct) {
-          r.out.push_back(group.member(0).at(*item.direct));
+          out.push_back(group.member(0).at(*item.direct));
         } else {
-          r.out.push_back(evalGrouped(*item.expr, params_, group));
+          out.push_back(evalGrouped(*item.expr, params_, group));
         }
       }
-      r.keys.reserve(p_.orderBy.size());
       for (const auto& ok : p_.orderBy) {
         if (ok.outputIndex) {
-          r.keys.push_back(r.out[*ok.outputIndex]);
+          built.keys.push_back(out[*ok.outputIndex]);
         } else if (!members.empty()) {
-          r.keys.push_back(evalGrouped(*ok.expr, params_, group));
+          built.keys.push_back(evalGrouped(*ok.expr, params_, group));
         } else {
-          r.keys.push_back(Value());
+          built.keys.push_back(Value());
         }
       }
-      rows.push_back(std::move(r));
+      built.rows.push_back(std::move(out));
+    }
+    return built;
+  }
+
+  /// DISTINCT keeps the first occurrence of each row, with its keys; the
+  /// rows kept go through the window.
+  void finishBuilt(BuiltRows built, ResultSet& rs) {
+    const std::size_t nk = p_.orderBy.size();
+    std::vector<std::uint32_t> kept;
+    std::vector<const Value*> keys;
+    for (std::uint32_t i = 0; i < built.rows.size(); ++i) {
+      if (p_.distinct && std::any_of(kept.begin(), kept.end(), [&](std::uint32_t j) {
+            return sameRow(built.rows[j], built.rows[i]);
+          })) {
+        continue;
+      }
+      kept.push_back(i);
+      for (std::size_t k = 0; k < nk; ++k) keys.push_back(&built.keys[i * nk + k]);
+    }
+    for (const std::uint32_t pos : window(kept.size(), keys)) {
+      rs.rows.push_back(std::move(built.rows[kept[pos]]));
     }
   }
 
-  /// Shared tail: DISTINCT, ORDER BY, OFFSET/LIMIT.
-  void finish(std::vector<SortableRow>& rows, ResultSet& rs) {
-    if (p_.distinct) {
-      // First occurrence of each distinct projected row wins.
-      std::vector<SortableRow> unique;
-      unique.reserve(rows.size());
-      for (auto& row : rows) {
-        bool seen = false;
-        for (const auto& kept : unique) {
-          bool equal = kept.out.size() == row.out.size();
-          for (std::size_t i = 0; equal && i < kept.out.size(); ++i) {
-            equal = kept.out[i].compare(row.out[i]) == 0;
-          }
-          if (equal) {
-            seen = true;
-            break;
-          }
-        }
-        if (!seen) unique.push_back(std::move(row));
-      }
-      rows = std::move(unique);
-    }
-
-    if (!p_.orderBy.empty()) {
-      stats_.rowsSorted += rows.size();
-      std::stable_sort(rows.begin(), rows.end(),
-                       [&](const SortableRow& a, const SortableRow& b) {
-                         for (std::size_t i = 0; i < p_.orderBy.size(); ++i) {
-                           const int c = a.keys[i].compare(b.keys[i]);
-                           if (c != 0) return p_.orderBy[i].descending ? c > 0 : c < 0;
-                         }
-                         return false;
-                       });
-    }
-
-    const std::size_t begin =
-        std::min<std::size_t>(rows.size(), static_cast<std::size_t>(p_.offset));
-    std::size_t end = rows.size();
+  /// The one sort tail. Returns the positions of the OFFSET/LIMIT window
+  /// among `n` candidates, in output order; `keys` holds each candidate's
+  /// ORDER BY keys, row-major. The window equals what std::stable_sort over
+  /// the candidates followed by the slice gives, because ties break by
+  /// candidate position: partial_sort when LIMIT cuts the list, sort
+  /// otherwise. Every candidate counts as sorted, not only the window.
+  std::vector<std::uint32_t> window(std::size_t n, const std::vector<const Value*>& keys) {
+    const std::size_t begin = std::min<std::size_t>(n, static_cast<std::size_t>(p_.offset));
+    std::size_t end = n;
     if (p_.limit) end = std::min(end, begin + static_cast<std::size_t>(*p_.limit));
-    for (std::size_t i = begin; i < end; ++i) rs.rows.push_back(std::move(rows[i].out));
+    std::vector<std::uint32_t> order;
+    if (p_.orderBy.empty()) {
+      order.reserve(end - begin);
+      for (std::size_t i = begin; i < end; ++i) order.push_back(static_cast<std::uint32_t>(i));
+      return order;
+    }
+    stats_.rowsSorted += n;
+    if (begin == end) return order;
+    order.resize(n);
+    std::iota(order.begin(), order.end(), std::uint32_t{0});
+    const std::size_t nk = p_.orderBy.size();
+    const auto before = [&](std::uint32_t a, std::uint32_t b) {
+      const Value* const* ka = keys.data() + a * nk;
+      const Value* const* kb = keys.data() + b * nk;
+      for (std::size_t k = 0; k < nk; ++k) {
+        const int c = ka[k]->compare(*kb[k]);
+        if (c != 0) return p_.orderBy[k].descending ? c > 0 : c < 0;
+      }
+      return a < b;
+    };
+    const auto cut = order.begin() + static_cast<std::ptrdiff_t>(end);
+    if (end < n) {
+      std::partial_sort(order.begin(), cut, order.end(), before);
+    } else {
+      std::sort(order.begin(), order.end(), before);
+    }
+    order.erase(cut, order.end());
+    order.erase(order.begin(), order.begin() + static_cast<std::ptrdiff_t>(begin));
+    return order;
   }
 
   /// O(1) MAX/MIN/COUNT(*) from index metadata. Whether the table is empty

@@ -593,6 +593,12 @@ class Planner {
           valuesOnly_ = false;
           throw std::runtime_error("unknown column in INSERT: " + s.columns[i]);
         }
+        for (const InsertPlan::Target& t : plan.targets) {
+          if (t.column == *c) {
+            valuesOnly_ = false;
+            throw std::runtime_error("duplicate column in INSERT: " + s.columns[i]);
+          }
+        }
         plan.targets.push_back({*c, schema.columns[*c].type});
         plan.values.push_back(compile(*s.values[i]));
       }

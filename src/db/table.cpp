@@ -113,31 +113,6 @@ std::optional<RowId> Table::findByPk(const Value& key) const {
   return it->second;
 }
 
-std::vector<RowId> Table::findByIndex(std::size_t column, const Value& key) const {
-  std::vector<RowId> out;
-  auto it = secondary_.find(column);
-  if (it == secondary_.end()) throw std::runtime_error("no index on column");
-  auto [lo, hi] = it->second.equal_range(key);
-  for (auto i = lo; i != hi; ++i) out.push_back(i->second);
-  return out;
-}
-
-std::vector<RowId> Table::findRangeByIndex(std::size_t column,
-                                           const std::optional<Value>& lo, bool loInclusive,
-                                           const std::optional<Value>& hi,
-                                           bool hiInclusive) const {
-  std::vector<RowId> out;
-  auto it = secondary_.find(column);
-  if (it == secondary_.end()) throw std::runtime_error("no index on column");
-  const auto& index = it->second;
-  auto begin = lo ? (loInclusive ? index.lower_bound(*lo) : index.upper_bound(*lo))
-                  : index.begin();
-  auto end = hi ? (hiInclusive ? index.upper_bound(*hi) : index.lower_bound(*hi))
-                : index.end();
-  for (auto i = begin; i != end; ++i) out.push_back(i->second);
-  return out;
-}
-
 bool Table::hasIndexOn(std::size_t column) const {
   return secondary_.contains(column);
 }

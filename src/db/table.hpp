@@ -4,6 +4,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -63,14 +64,19 @@ class Table {
   /// Looks up by primary key. Returns nullopt if absent.
   std::optional<RowId> findByPk(const Value& key) const;
 
-  /// Row ids whose indexed column equals `key` (secondary index required).
-  std::vector<RowId> findByIndex(std::size_t column, const Value& key) const;
-
-  /// Row ids whose indexed column is within [lo, hi] (either bound may be
-  /// omitted). Results come back in index order.
-  std::vector<RowId> findRangeByIndex(std::size_t column,
-                                      const std::optional<Value>& lo, bool loInclusive,
-                                      const std::optional<Value>& hi, bool hiInclusive) const;
+  /// Visits, in index order, the ids of the rows whose indexed column equals
+  /// `key`, reading the index in place. Stops as soon as `fn` returns false,
+  /// and then returns false. Throws when the column carries no secondary
+  /// index.
+  template <typename Fn>
+  bool forEachIndexEq(std::size_t column, const Value& key, Fn&& fn) const {
+    const auto* index = orderedIndex(column);
+    if (index == nullptr) throw std::runtime_error("no index on column");
+    for (auto it = index->lower_bound(key); it != index->end() && it->first == key; ++it) {
+      if (!fn(it->second)) return false;
+    }
+    return true;
+  }
 
   bool hasIndexOn(std::size_t column) const;
   bool isPrimaryKeyColumn(std::size_t column) const {
@@ -118,13 +124,8 @@ class Table {
   /// O(1) MAX(pk) fast path, mirroring MySQL's index-based MIN/MAX.
   std::int64_t maxAssignedId() const noexcept { return nextAutoId_ - 1; }
 
-  /// Smallest/largest value in a secondary index (nullopt when empty or no
-  /// index exists on the column).
-  std::optional<Value> indexMin(std::size_t column) const {
-    auto it = secondary_.find(column);
-    if (it == secondary_.end() || it->second.empty()) return std::nullopt;
-    return it->second.begin()->first;
-  }
+  /// Largest value in a secondary index (nullopt when empty or no index
+  /// exists on the column).
   std::optional<Value> indexMax(std::size_t column) const {
     auto it = secondary_.find(column);
     if (it == secondary_.end() || it->second.empty()) return std::nullopt;

@@ -43,7 +43,8 @@ int rank(const Value& v) {
 }
 }  // namespace
 
-int Value::compare(const Value& other) const {
+// Every pairing but int–int, which compare() settles inline.
+int Value::compareMixed(const Value& other) const {
   const int ra = rank(*this);
   const int rb = rank(other);
   if (ra != rb) return ra < rb ? -1 : 1;
@@ -51,11 +52,6 @@ int Value::compare(const Value& other) const {
     case 0:
       return 0;  // NULL == NULL for ordering purposes
     case 1: {
-      if (isInt() && other.isInt()) {
-        const auto a = std::get<std::int64_t>(v_);
-        const auto b = std::get<std::int64_t>(other.v_);
-        return a < b ? -1 : (a > b ? 1 : 0);
-      }
       const double a = asDouble();
       const double b = other.asDouble();
       return a < b ? -1 : (a > b ? 1 : 0);

@@ -37,8 +37,14 @@ class Value {
   std::string toDisplayString() const;
 
   /// Three-way comparison: NULL < numbers < strings; numbers compare
-  /// numerically across int/double.
-  int compare(const Value& other) const;
+  /// numerically across int/double. The int–int case, which sort keys and
+  /// index probes hit most, is inline.
+  int compare(const Value& other) const {
+    const auto* a = std::get_if<std::int64_t>(&v_);
+    const auto* b = std::get_if<std::int64_t>(&other.v_);
+    if (a != nullptr && b != nullptr) return *a < *b ? -1 : (*a > *b ? 1 : 0);
+    return compareMixed(other);
+  }
 
   bool operator==(const Value& other) const { return compare(other) == 0; }
   bool operator!=(const Value& other) const { return compare(other) != 0; }
@@ -53,6 +59,8 @@ class Value {
   std::size_t byteSize() const;
 
  private:
+  int compareMixed(const Value& other) const;
+
   std::variant<std::monostate, std::int64_t, double, std::string> v_;
 };
 

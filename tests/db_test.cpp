@@ -97,35 +97,39 @@ TEST(TableTest, DuplicatePkThrows) {
                std::runtime_error);
 }
 
+/// Row ids the secondary index on `column` holds for `key`, in index order.
+std::vector<RowId> indexHits(const Table& t, std::size_t column, const Value& key) {
+  std::vector<RowId> ids;
+  t.forEachIndexEq(column, key, [&](RowId id) {
+    ids.push_back(id);
+    return true;
+  });
+  return ids;
+}
+
 TEST(TableTest, SecondaryIndexLookup) {
   Table t(itemsSchema());
   for (int i = 1; i <= 10; ++i) {
     t.insert({Value(i), Value("x"), Value(i % 3), Value(1.0), Value(1)});
   }
-  const auto hits = t.findByIndex(2, Value(1));  // category == 1
-  EXPECT_EQ(hits.size(), 4u);  // 1, 4, 7, 10
-  for (RowId id : hits) EXPECT_EQ(t.row(id)[2].asInt(), 1);
-}
-
-TEST(TableTest, RangeScanInclusiveExclusive) {
-  Table t(itemsSchema());
-  for (int i = 1; i <= 10; ++i) {
-    t.insert({Value(i), Value("x"), Value(i), Value(1.0), Value(1)});
-  }
-  auto r = t.findRangeByIndex(2, Value(3), true, Value(6), true);
-  EXPECT_EQ(r.size(), 4u);
-  r = t.findRangeByIndex(2, Value(3), false, Value(6), false);
-  EXPECT_EQ(r.size(), 2u);
-  r = t.findRangeByIndex(2, std::nullopt, true, Value(2), true);
-  EXPECT_EQ(r.size(), 2u);
+  const auto hits = indexHits(t, 2, Value(1));  // category == 1
+  EXPECT_EQ(hits, (std::vector<RowId>{0, 3, 6, 9}));  // ids 1, 4, 7, 10
+  EXPECT_EQ(indexHits(t, 2, Value(1.0)), hits);  // 1.0 equals 1
+  EXPECT_TRUE(indexHits(t, 2, Value(5)).empty());
+  // The walk stops when the visitor says so, and reports it.
+  int visited = 0;
+  EXPECT_FALSE(t.forEachIndexEq(2, Value(1), [&](RowId) { return ++visited < 2; }));
+  EXPECT_EQ(visited, 2);
+  EXPECT_THROW(t.forEachIndexEq(1, Value("x"), [](RowId) { return true; }),
+               std::runtime_error);  // no index on name
 }
 
 TEST(TableTest, UpdateCellMaintainsIndexes) {
   Table t(itemsSchema());
   t.insert({Value(1), Value("a"), Value(7), Value(1.0), Value(1)});
   t.updateCell(0, 2, Value(9));
-  EXPECT_TRUE(t.findByIndex(2, Value(7)).empty());
-  EXPECT_EQ(t.findByIndex(2, Value(9)).size(), 1u);
+  EXPECT_TRUE(indexHits(t, 2, Value(7)).empty());
+  EXPECT_EQ(indexHits(t, 2, Value(9)), std::vector<RowId>{0});
 }
 
 TEST(TableTest, UpdatePkMaintainsPkIndex) {
@@ -143,7 +147,7 @@ TEST(TableTest, EraseRemovesFromIndexes) {
   t.erase(0);
   EXPECT_EQ(t.size(), 1u);
   EXPECT_FALSE(t.findByPk(Value(1)).has_value());
-  EXPECT_EQ(t.findByIndex(2, Value(7)).size(), 1u);
+  EXPECT_EQ(indexHits(t, 2, Value(7)), std::vector<RowId>{1});
   int visited = 0;
   t.forEachRow([&](RowId) { ++visited; });
   EXPECT_EQ(visited, 1);
@@ -785,6 +789,18 @@ TEST_F(ExecutorEdgeTest, LimitZero) {
   EXPECT_TRUE(r.resultSet.empty());
 }
 
+TEST_F(ExecutorEdgeTest, InsertNamingAColumnTwiceThrows) {
+  const auto before = db_.table("e").size();
+  try {
+    exec_.query("INSERT INTO e (v, v) VALUES (1, 2)");
+    ADD_FAILURE() << "an INSERT naming v twice was accepted";
+  } catch (const std::runtime_error& err) {
+    EXPECT_NE(std::string(err.what()).find("duplicate column in INSERT: v"), std::string::npos)
+        << err.what();
+  }
+  EXPECT_EQ(db_.table("e").size(), before);
+}
+
 TEST_F(ExecutorEdgeTest, OrderByMultipleKeys) {
   auto r = exec_.query("SELECT id, v FROM e ORDER BY v DESC, id ASC");
   ASSERT_EQ(r.resultSet.rowCount(), 10u);
@@ -1007,6 +1023,141 @@ TEST_F(SqlFeatureTest, ParserErrorsOnBadIn) {
   EXPECT_THROW(exec_.query("SELECT id FROM f WHERE id IN ()"), std::runtime_error);
   EXPECT_THROW(exec_.query("SELECT id FROM f WHERE id IN (1, 2"), std::runtime_error);
   EXPECT_THROW(exec_.query("SELECT id FROM f WHERE id IS 5"), std::runtime_error);
+}
+
+}  // namespace
+}  // namespace mwsim::db
+
+namespace mwsim::db {
+namespace {
+
+// --------------------------------------------------------- ORDER BY windows
+
+/// Forty rows whose sort keys run in long stretches of equal values (`k`
+/// takes four values, `j` three). Rewriting `g` moves rows 3, 9, 15, 21, 4
+/// and 10 to the back of the g = 1 index range, so a walk of that range
+/// yields candidates out of RowId order.
+class WindowTest : public ::testing::Test {
+ protected:
+  WindowTest() : exec_(db_) {
+    db_.createTable(SchemaBuilder("w")
+                        .intCol("id").primaryKey(true)
+                        .intCol("k")
+                        .intCol("j")
+                        .intCol("g").indexed()
+                        .stringCol("s")
+                        .build());
+    for (int i = 1; i <= 40; ++i) {
+      const Value params[] = {Value((i * 7) % 4), Value(i % 3), Value(i % 2),
+                              Value("r" + std::to_string(i))};
+      exec_.query("INSERT INTO w (k, j, g, s) VALUES (?, ?, ?, ?)", params);
+    }
+    exec_.query("UPDATE w SET g = 1 WHERE id IN (3, 9, 15, 21)");
+    exec_.query("UPDATE w SET g = 1 WHERE id IN (4, 10)");
+  }
+
+  /// Checks `select` + ORDER BY `order` + LIMIT/OFFSET, over a grid of
+  /// windows that start and end inside runs of equal keys, against a
+  /// std::stable_sort by `less` of `select`'s rows in candidate order.
+  template <typename Less>
+  void expectStableWindows(const std::string& select, const std::string& order, Less less) {
+    std::vector<Row> all = exec_.query(select).resultSet.rows;
+    std::stable_sort(all.begin(), all.end(), less);
+    EXPECT_EQ(exec_.query(select + " ORDER BY " + order).resultSet.rows, all) << order;
+    for (const std::size_t offset : {0u, 1u, 5u, 9u, 10u, 11u, 19u, 21u, 39u, 40u, 45u}) {
+      for (const std::size_t limit : {0u, 1u, 2u, 5u, 9u, 10u, 11u, 30u, 50u}) {
+        const std::string sql = select + " ORDER BY " + order + " LIMIT " +
+                                std::to_string(limit) + " OFFSET " + std::to_string(offset);
+        const std::size_t begin = std::min(offset, all.size());
+        const std::size_t end = std::min(begin + limit, all.size());
+        const std::vector<Row> expected(all.begin() + static_cast<std::ptrdiff_t>(begin),
+                                        all.begin() + static_cast<std::ptrdiff_t>(end));
+        EXPECT_EQ(exec_.query(sql).resultSet.rows, expected) << sql;
+      }
+    }
+  }
+
+  Database db_;
+  Executor exec_;
+};
+
+// Columns of the probes below: 0 id, 1 k, 2 j.
+bool kAsc(const Row& a, const Row& b) { return a[1] < b[1]; }
+bool kDesc(const Row& a, const Row& b) { return a[1] > b[1]; }
+bool kDescJAsc(const Row& a, const Row& b) {
+  if (a[1] != b[1]) return a[1] > b[1];
+  return a[2] < b[2];
+}
+
+TEST_F(WindowTest, WindowsInsideEqualKeysMatchAStableSortOfAScan) {
+  const std::string select = "SELECT id, k, j FROM w";
+  expectStableWindows(select, "k", kAsc);
+  expectStableWindows(select, "k DESC", kDesc);
+  expectStableWindows(select, "k DESC, j", kDescJAsc);
+}
+
+TEST_F(WindowTest, WindowsInsideEqualKeysMatchAStableSortOfAnIndexWalk) {
+  // Without ORDER BY the g = 1 walk streams its candidates in index order,
+  // which the moved rows put out of RowId order; ties keep that order.
+  const std::string select = "SELECT id, k, j FROM w WHERE g = 1";
+  const auto probe = exec_.query(select).resultSet;
+  ASSERT_EQ(probe.rowCount(), 22u);
+  EXPECT_EQ(probe.intAt(16, "id"), 3);  // the first moved row
+  expectStableWindows(select, "k", kAsc);
+  expectStableWindows(select, "k DESC", kDesc);
+  expectStableWindows(select, "k DESC, j", kDescJAsc);
+}
+
+TEST_F(WindowTest, EveryCandidateCountsAsSorted) {
+  struct Case {
+    const char* sql;
+    std::uint64_t sorted;
+    std::uint64_t returned;
+  };
+  const Case cases[] = {
+      {"SELECT id FROM w ORDER BY k LIMIT 3", 40, 3},
+      {"SELECT id FROM w WHERE g = 1 ORDER BY k DESC LIMIT 2 OFFSET 5", 22, 2},
+      {"SELECT id FROM w WHERE j = 0 ORDER BY k, id LIMIT 4", 13, 4},
+      // DISTINCT rows are counted after deduplication.
+      {"SELECT DISTINCT k FROM w ORDER BY k LIMIT 1", 4, 1},
+      {"SELECT k, COUNT(*) AS c FROM w GROUP BY k ORDER BY c DESC, k LIMIT 1", 4, 1},
+      // The ten k = 0 rows (ids 4, 8, ...) find no b.id = 0.
+      {"SELECT a.id FROM w a JOIN w b ON b.id = a.k ORDER BY a.j LIMIT 1", 30, 1},
+      // Empty windows: LIMIT 0 and an OFFSET at or past the end.
+      {"SELECT id FROM w ORDER BY k LIMIT 0", 40, 0},
+      {"SELECT id FROM w ORDER BY k LIMIT 5 OFFSET 40", 40, 0},
+      {"SELECT id FROM w ORDER BY k DESC, j LIMIT 5 OFFSET 100", 40, 0},
+      {"SELECT a.id FROM w a JOIN w b ON b.id = a.k ORDER BY a.j LIMIT 0", 30, 0},
+      {"SELECT k, COUNT(*) AS c FROM w GROUP BY k ORDER BY c LIMIT 3 OFFSET 4", 4, 0},
+  };
+  for (const Case& c : cases) {
+    const auto r = exec_.query(c.sql);
+    EXPECT_EQ(r.stats.rowsSorted, c.sorted) << c.sql;
+    EXPECT_EQ(r.stats.rowsReturned, c.returned) << c.sql;
+    EXPECT_EQ(r.resultSet.rowCount(), c.returned) << c.sql;
+  }
+  // The rows examined do not depend on the window.
+  EXPECT_EQ(exec_.query("SELECT id FROM w ORDER BY k LIMIT 0").stats.rowsExamined,
+            exec_.query("SELECT id FROM w ORDER BY k").stats.rowsExamined);
+}
+
+TEST_F(WindowTest, SelectListIsEvaluatedOnlyForTheWindow) {
+  // Every s but row 40's becomes NULL, so `s + 1` fails on row 40 only.
+  exec_.query("UPDATE w SET s = NULL WHERE id < 40");
+  auto r = exec_.query("SELECT s + 1 AS t FROM w ORDER BY id LIMIT 1");
+  ASSERT_EQ(r.resultSet.rowCount(), 1u);
+  EXPECT_TRUE(r.resultSet.at(0, "t").isNull());
+  r = exec_.query("SELECT a.s + 1 AS t FROM w a JOIN w b ON b.id = a.id ORDER BY a.id LIMIT 2");
+  EXPECT_EQ(r.resultSet.rowCount(), 2u);
+  // A window that holds row 40 still throws.
+  EXPECT_THROW(exec_.query("SELECT s + 1 AS t FROM w ORDER BY id LIMIT 1 OFFSET 39"),
+               std::runtime_error);
+  EXPECT_THROW(exec_.query("SELECT s + 1 AS t FROM w ORDER BY id DESC LIMIT 1"),
+               std::runtime_error);
+  // Sort keys are evaluated for every candidate, so a failing key throws
+  // whatever the window.
+  EXPECT_THROW(exec_.query("SELECT id FROM w ORDER BY s + 1 LIMIT 1"), std::runtime_error);
+  EXPECT_THROW(exec_.query("SELECT s + 1 AS t FROM w ORDER BY t LIMIT 1"), std::runtime_error);
 }
 
 }  // namespace

@@ -817,7 +817,10 @@ GenCase genSelect(Rand& rng, const World& w) {
     if (chance(rng, 50)) {
       // Ordering by every group key is a total order over groups.
       g.sql += " ORDER BY " + keys;
-      if (chance(rng, 40)) g.sql += " LIMIT " + std::to_string(1 + pick(rng, 6));
+      if (chance(rng, 40)) {
+        g.sql += " LIMIT " + std::to_string(1 + pick(rng, 6));
+        if (chance(rng, 40)) g.sql += " OFFSET " + std::to_string(pick(rng, 5));
+      }
     } else {
       g.exactOrder = false;
     }
@@ -845,9 +848,23 @@ GenCase genSelect(Rand& rng, const World& w) {
     if (chance(rng, 40)) {
       // ORDER BY every selected column: total over distinct rows.
       g.sql += items == "a" ? " ORDER BY a" : " ORDER BY a, b";
-      if (chance(rng, 50)) g.sql += " LIMIT " + std::to_string(1 + pick(rng, 8));
+      if (chance(rng, 50)) {
+        g.sql += " LIMIT " + std::to_string(1 + pick(rng, 8));
+        if (chance(rng, 30)) g.sql += " OFFSET " + std::to_string(pick(rng, 4));
+      }
     } else {
       g.exactOrder = false;
+    }
+    return g;
+  }
+  if (items == "id, a + b AS ab, d * 2 AS d2" && chance(rng, 35)) {
+    // ORDER BY the alias of an expression item: the key is that item's
+    // value, evaluated for every candidate; the pk makes the order total.
+    g.sql += std::string(" ORDER BY ab") + (chance(rng, 50) ? " DESC" : "") + ", id" +
+             (chance(rng, 30) ? " DESC" : "");
+    if (chance(rng, 60)) {
+      g.sql += " LIMIT " + std::to_string(1 + pick(rng, 10));
+      if (chance(rng, 40)) g.sql += " OFFSET " + std::to_string(pick(rng, 6));
     }
     return g;
   }
@@ -968,9 +985,21 @@ GenCase genJoin(Rand& rng, const World& w) {
   }
   if (chance(rng, 50)) {
     // Binding tuples are unique, so ordering by every table's pk is total.
-    g.sql += " ORDER BY " + q(0, "id") + ", " + q(1, "id");
+    // A non-key column may lead, but the pks still close the list: the
+    // engine's join candidate order is not the reference's, so a tie left
+    // to candidate order would not compare equal.
+    g.sql += " ORDER BY ";
+    switch (pick(rng, 4)) {
+      case 0: g.sql += q(1, "b") + " DESC, "; break;
+      case 1: g.sql += q(0, "d") + ", "; break;
+      default: break;
+    }
+    g.sql += q(0, "id") + ", " + q(1, "id");
     if (nJoined == 3) g.sql += ", " + q(2, "id");
-    if (chance(rng, 50)) g.sql += " LIMIT " + std::to_string(1 + pick(rng, 12));
+    if (chance(rng, 50)) {
+      g.sql += " LIMIT " + std::to_string(1 + pick(rng, 12));
+      if (chance(rng, 40)) g.sql += " OFFSET " + std::to_string(pick(rng, 8));
+    }
   } else {
     g.exactOrder = false;
   }
@@ -988,7 +1017,12 @@ GenCase genGroupedJoin(Rand& rng, const World& w) {
   g.sql += " GROUP BY x0.a";
   if (chance(rng, 30)) g.sql += " HAVING COUNT(*) > 1";
   if (chance(rng, 50)) {
-    g.sql += " ORDER BY x0.a";
+    // One group per x0.a, so the order is total.
+    g.sql += " ORDER BY x0.a" + std::string(chance(rng, 30) ? " DESC" : "");
+    if (chance(rng, 50)) {
+      g.sql += " LIMIT " + std::to_string(1 + pick(rng, 5));
+      if (chance(rng, 50)) g.sql += " OFFSET " + std::to_string(pick(rng, 4));
+    }
   } else {
     g.exactOrder = false;
   }
