@@ -66,16 +66,6 @@ void BenchOptions::parse(cli::Parser& parser, int argc, char** argv, unsigned ex
   declare(parser, extra);
   parser.parse(argc, argv);
   if (jobs == 0) jobs = static_cast<unsigned>(core::defaultJobCount());
-  if (tracing() && !trace::kEnabled) {
-    std::fprintf(stderr,
-                 "note: built with -DMWSIM_TRACING=OFF; "
-                 "--breakdown/--trace-out will produce no output\n");
-  }
-  if (!metricsOut.empty() && !obs::kEnabled) {
-    std::fprintf(stderr,
-                 "note: built with -DMWSIM_METRICS=OFF; "
-                 "--metrics-out will produce no output\n");
-  }
 }
 
 BenchOptions BenchOptions::parse(std::string summary, int argc, char** argv, unsigned extra) {
@@ -88,7 +78,7 @@ BenchOptions BenchOptions::parse(std::string summary, int argc, char** argv, uns
 void printBreakdown(const char* configName, int clients, const trace::Report& report) {
   std::printf("\nper-tier latency attribution: %s at %d clients\n", configName, clients);
   if (report.traces == 0) {
-    std::printf("  (no traces collected — tracing compiled out?)\n");
+    std::printf("  (no traces collected)\n");
     return;
   }
   const double n = static_cast<double>(report.traces);

@@ -62,7 +62,7 @@ struct BenchOptions {
   std::string metricsOut;
 
   bool tracing() const { return breakdown || !traceOut.empty(); }
-  bool metrics() const { return obs::kEnabled && !noMetrics; }
+  bool metrics() const { return !noMetrics; }
 
   /// Declares the five flags every bench reads and those in `extra` (a
   /// CommonFlags mask) on `parser`, each filling its field.

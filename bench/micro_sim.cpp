@@ -160,8 +160,7 @@ void BM_TracedDelayRoundTrip(benchmark::State& state) {
   // BM_CoroutineDelayRoundTrip with a span open across every suspension:
   // measures the per-event cost of the tracing hooks when a request is
   // actually traced (span capture at suspend, category add, restore at
-  // dispatch). Under -DMWSIM_TRACING=OFF this collapses to the untraced
-  // benchmark, so comparing the two builds isolates the hook cost.
+  // dispatch); the difference from BM_CoroutineDelayRoundTrip is that cost.
   Simulation sim;
   mwsim::trace::Trace trace("bench", 0);
   struct Driver {
@@ -186,13 +185,10 @@ void BM_TracedDelayRoundTrip(benchmark::State& state) {
 BENCHMARK(BM_TracedDelayRoundTrip);
 
 void BM_MetricsCpuProcessorSharing(benchmark::State& state) {
-  // BM_CpuProcessorSharing with a metrics registry attached but never
-  // sampled: measures the per-dispatch cost of the always-on Little's-law
-  // accumulators plus the hook-site null checks. Under -DMWSIM_METRICS=OFF
-  // this collapses to the plain benchmark, so comparing the two builds
-  // isolates the metrics hook cost (the CI metrics-overhead gate compares
-  // the *other* benchmarks across builds instead — this one exists to see
-  // the hook cost directly rather than bound it).
+  // BM_CpuProcessorSharing with a metrics registry attached and a probe
+  // registered but not sampled, as in an experiment run between the pump's
+  // samples. The kernel never calls into the registry, so this should time
+  // the same as BM_CpuProcessorSharing.
   Simulation sim;
   mwsim::obs::MetricsRegistry registry;
   sim.setMetrics(&registry);

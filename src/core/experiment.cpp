@@ -7,6 +7,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -92,41 +93,6 @@ std::vector<std::unique_ptr<net::Machine>> makeTier(sim::Simulation& simulation,
 std::uint64_t replicaSeed(std::uint64_t seed, int replica) {
   return replica == 0 ? seed
                       : sim::deriveSeed(seed, 0x5E71E7ULL + static_cast<std::uint64_t>(replica));
-}
-
-/// Registers the database-side instruments for one backend: the global
-/// lock-manager mutex (utilization ~1.0 is the LOCK TABLES wall), table-lock
-/// queue depth and grant rate, and the statement throughput.
-void addBackendProbes(obs::MetricsRegistry& registry, mw::DatabaseServer& backend) {
-  const std::string& n = backend.machine().name();
-  const sim::Mutex& lm = backend.lockManager();
-  registry.addUtilizationProbe(n + "/lock-manager", obs::ResourceKind::Lock, 1.0,
-                               [&lm] { return lm.busyUnitSeconds(); });
-  registry.addGaugeProbe(n + "/lock-manager.queue",
-                         [&lm] { return static_cast<double>(lm.queueLength()); });
-  registry.addUtilizationProbe(n + "/lock-manager.grants", obs::ResourceKind::Rate, 1.0,
-                               [&lm] { return static_cast<double>(lm.acquisitions()); });
-  registry.addGaugeProbe(n + "/table-lock.queue", [&backend] {
-    double q = 0.0;
-    for (const auto& [table, lock] : backend.tableLocks()) {
-      (void)table;
-      q += static_cast<double>(lock->queueLength());
-    }
-    return q;
-  });
-  registry.addUtilizationProbe(n + "/table-lock.grants", obs::ResourceKind::Rate, 1.0,
-                               [&backend] {
-                                 double g = 0.0;
-                                 for (const auto& [table, lock] : backend.tableLocks()) {
-                                   (void)table;
-                                   g += static_cast<double>(lock->readAcquisitions() +
-                                                            lock->writeAcquisitions());
-                                 }
-                                 return g;
-                               });
-  registry.addUtilizationProbe(
-      "db.statements." + n, obs::ResourceKind::Rate, 1.0,
-      [&backend] { return static_cast<double>(backend.statementsProcessed()); });
 }
 
 /// One run on the given database copies, one per database backend: wires
@@ -331,57 +297,24 @@ ExperimentResult simulate(const ExperimentParams& params, const Topology& topo,
   for (auto& m : ejbMachines) servers.emplace_back(m.get(), kEjbTier);
 
   // Observation (src/obs/): one registry per run with probes on every
-  // saturation point, and the pump that steps the kernel and samples them
-  // once a simulated second. Everything here only *reads* simulation state,
-  // and the pump steps runUntil instead of spawning a simulated process, so
-  // observing cannot perturb the event sequence. Machine usage, the verdict
-  // and the --metrics-out series all come from these snapshots.
+  // saturation point, each registered by the component whose state it
+  // reads, and the pump that steps the kernel and samples them once a
+  // simulated second. Probes only *read* simulation state, and the pump
+  // steps runUntil instead of spawning a simulated process, so observing
+  // cannot perturb the event sequence. Registration order is series order.
+  // Machine usage, the verdict and the --metrics-out series all come from
+  // these snapshots.
   obs::MetricsRegistry registry;
   simulation.setMetrics(&registry);
   for (const auto& [machine, tier] : servers) obs::addMachineProbes(registry, *machine);
-  for (std::size_t b = 0; b < dbCluster.size(); ++b) {
-    addBackendProbes(registry, dbCluster.backend(b));
-  }
-  if (dbCluster.size() > 1) {
-    sim::Mutex* ws = dbCluster.writeStream();
-    registry.addUtilizationProbe("db-cluster/write-stream", obs::ResourceKind::Stream, 1.0,
-                                 [ws] { return ws->busyUnitSeconds(); });
-    registry.addGaugeProbe("db-cluster/write-stream.queue",
-                           [ws] { return static_cast<double>(ws->queueLength()); });
-    std::vector<std::string> backendNames;
-    for (std::size_t b = 0; b < dbCluster.size(); ++b) {
-      backendNames.push_back(dbCluster.backend(b).machine().name());
-    }
-    registry.initBackendReads(backendNames);
-  }
-  for (std::size_t i = 0; i < webServers.size(); ++i) {
-    const mw::WebServer& w = *webServers[i];
-    const std::string n = webMachines[i]->name();
-    registry.addUtilizationProbe(n + "/httpd-pool", obs::ResourceKind::Pool,
-                                 static_cast<double>(w.processPool().capacity()),
-                                 [&w] { return w.processPool().busyUnitSeconds(); });
-    registry.addGaugeProbe(n + "/httpd-pool.queue", [&w] {
-      return static_cast<double>(w.processPool().queueLength());
-    });
-  }
-  // The balancer and the open-loop farm keep their own counts.
+  dbCluster.addProbes(registry);
+  for (const auto& w : webServers) w->addProbes(registry);
   if (balancer) {
-    const mw::LoadBalancer* lb = balancer.get();
-    for (std::size_t i = 0; i < lb->replicaCount(); ++i) {
-      registry.addGaugeProbe("lb/inflight." + webMachines[i]->name(), [lb, i] {
-        return static_cast<double>(lb->picker().inflight(i));
-      });
-    }
-    registry.addCounterProbe("lb.health_flips", [lb] { return lb->healthFlipCount(); });
-    registry.addCounterProbe("lb.reroutes", [lb] { return lb->rerouteCount(); });
-    registry.addCounterProbe("lb.timeouts", [lb] { return lb->timeoutCount(); });
-    registry.addCounterProbe("lb.errors", [lb] { return lb->errorCount(); });
+    std::vector<std::string> replicaNames;
+    for (const auto& m : webMachines) replicaNames.push_back(m->name());
+    balancer->addProbes(registry, replicaNames);
   }
-  if (openFarm) {
-    const wl::OpenLoopFarm* open = openFarm.get();
-    registry.addCounterProbe("wl.arrivals", [open] { return open->arrivals(); });
-    registry.addCounterProbe("wl.shed", [open] { return open->shedSessions(); });
-  }
+  if (openFarm) openFarm->addProbes(registry);
   registry.addGaugeProbe("kernel/pending-events", [&simulation] {
     return static_cast<double>(simulation.pendingEvents());
   });
@@ -420,16 +353,11 @@ ExperimentResult simulate(const ExperimentParams& params, const Topology& topo,
   }
   result.tierUsage = stats::aggregateByTier(result.usage);
   for (const auto& [key, traffic] : network.matrix()) result.traffic[key] = traffic;
-  for (std::size_t b = 0; b < dbCluster.size(); ++b) {
-    const mw::DatabaseServer& backend = dbCluster.backend(b);
-    for (const auto& [table, lock] : backend.tableLocks()) {
-      (void)table;
-      result.lockAcquisitions += lock->readAcquisitions() + lock->writeAcquisitions();
-      result.contendedLockAcquisitions += lock->contendedAcquisitions();
-      result.lockWaitSeconds += sim::toSeconds(lock->totalWait());
-    }
-    result.lockManagerWaitSeconds += sim::toSeconds(backend.lockManager().totalWait());
-  }
+  const mw::LockTotals locks = dbCluster.lockTotals();
+  result.lockAcquisitions = locks.acquisitions;
+  result.contendedLockAcquisitions = locks.contended;
+  result.lockWaitSeconds = locks.waitSeconds;
+  result.lockManagerWaitSeconds = locks.lockManagerWaitSeconds;
   result.databaseBytes = databaseBytes;
   for (const auto& w : webServers) result.webErrors += w->errorCount();
   if (balancer) {
@@ -445,7 +373,7 @@ ExperimentResult simulate(const ExperimentParams& params, const Topology& topo,
   if (collector.enabled()) {
     result.trace = std::make_shared<const trace::Report>(collector.report());
   }
-  if (obs::kEnabled && params.metrics.enabled) {
+  if (params.metrics.enabled) {
     report.verdict = obs::analyze(report, result.trace.get(), windowStart, windowEnd);
     result.metrics = std::make_shared<const obs::MetricsReport>(std::move(report));
   }
@@ -471,6 +399,9 @@ void ExperimentParams::validate() const {
   if (rampUp < 0) reject("rampUp must not be negative");
   if (rampDown < 0) reject("rampDown must not be negative");
   if (clients < 0) reject("clients must not be negative");
+  if (std::string_view(mixName(app, mix)) == "?") {
+    reject("mix " + std::to_string(mix) + " is not a mix of this application");
+  }
   const double scale = datasetScale();
   if (!std::isfinite(scale) || scale <= 0) {
     reject("the dataset scale must be finite and positive, got " + std::to_string(scale));

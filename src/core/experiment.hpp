@@ -85,8 +85,9 @@ struct ExperimentParams {
 
   /// Throws std::invalid_argument unless `measure` is positive, `rampUp`,
   /// `rampDown` and `clients` are not negative (open-loop runs use 0
-  /// clients), and datasetScale() is finite and positive. runExperiment
-  /// calls it before touching the dataset cache.
+  /// clients), `mix` is one of `app`'s mixes (mixName knows it), and
+  /// datasetScale() is finite and positive. runExperiment calls it before
+  /// touching the dataset cache.
   void validate() const;
 };
 
@@ -150,7 +151,7 @@ struct ExperimentResult {
   std::shared_ptr<const trace::Report> trace;
 
   /// Sampled metrics series + bottleneck verdict (only when
-  /// params.metrics.enabled and metrics are compiled in).
+  /// params.metrics.enabled).
   std::shared_ptr<const obs::MetricsReport> metrics;
 
   /// Per-instance lookup by unique machine name ("WebServer", "WebServer#2").

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/metrics.hpp"
 #include "trace/scope.hpp"
 
 namespace mwsim::mw {
@@ -124,17 +123,54 @@ sim::Task<db::ExecResult> DatabaseServer::Connection::process(
   // Execute against the real engine (instantaneous) via the statement's
   // cached plan, then charge the CPU demand the execution statistics imply,
   // holding the locks throughout.
-  if constexpr (obs::kEnabled) {
-    // Like the statement cache, plans are cached process-wide per catalog
-    // signature; hit/miss is per run (first use in this run = miss).
-    if (auto* m = srv.sim_.metrics()) {
-      m->recordPlanUse(planned->planFor(srv.database_).get());
-    }
+  // Like the statement cache, plans are cached process-wide per catalog
+  // signature; hit/miss is per run (first use in this run = miss).
+  if (auto* m = srv.sim_.metrics()) {
+    m->recordPlanUse(planned->planFor(srv.database_).get());
   }
   db::ExecResult result = srv.executor_.execute(*planned, params);
   co_await srv.machine_.compute(srv.queryCpuCost(result.stats));
   co_return result;
   // `implicit` holds release here.
+}
+
+void DatabaseServer::addLockTotals(LockTotals& totals) const {
+  for (const auto& [table, lock] : locks_) {
+    (void)table;
+    totals.acquisitions += lock->readAcquisitions() + lock->writeAcquisitions();
+    totals.contended += lock->contendedAcquisitions();
+    totals.waitSeconds += sim::toSeconds(lock->totalWait());
+  }
+  totals.lockManagerWaitSeconds += sim::toSeconds(lockManager_.totalWait());
+}
+
+void DatabaseServer::addProbes(obs::MetricsRegistry& registry) const {
+  const std::string& n = machine_.name();
+  const sim::Mutex& lm = lockManager_;
+  registry.addUtilizationProbe(n + "/lock-manager", obs::ResourceKind::Lock, 1.0,
+                               [&lm] { return lm.busyUnitSeconds(); });
+  registry.addGaugeProbe(n + "/lock-manager.queue",
+                         [&lm] { return static_cast<double>(lm.queueLength()); });
+  registry.addUtilizationProbe(n + "/lock-manager.grants", obs::ResourceKind::Rate, 1.0,
+                               [&lm] { return static_cast<double>(lm.acquisitions()); });
+  registry.addGaugeProbe(n + "/table-lock.queue", [this] {
+    double q = 0.0;
+    for (const auto& [table, lock] : locks_) {
+      (void)table;
+      q += static_cast<double>(lock->queueLength());
+    }
+    return q;
+  });
+  registry.addUtilizationProbe(n + "/table-lock.grants", obs::ResourceKind::Rate, 1.0, [this] {
+    double g = 0.0;
+    for (const auto& [table, lock] : locks_) {
+      (void)table;
+      g += static_cast<double>(lock->readAcquisitions() + lock->writeAcquisitions());
+    }
+    return g;
+  });
+  registry.addUtilizationProbe("db.statements." + n, obs::ResourceKind::Rate, 1.0,
+                               [this] { return static_cast<double>(statements_); });
 }
 
 }  // namespace mwsim::mw

@@ -9,11 +9,23 @@
 #include "db/executor.hpp"
 #include "middleware/cost_model.hpp"
 #include "net/machine.hpp"
+#include "obs/metrics.hpp"
 #include "sim/rwlock.hpp"
 #include "sim/simulation.hpp"
 #include "sim/task.hpp"
 
 namespace mwsim::mw {
+
+/// Lock contention at the database over a run, summed over servers and
+/// their table locks.
+struct LockTotals {
+  std::uint64_t acquisitions = 0;
+  std::uint64_t contended = 0;
+  double waitSeconds = 0.0;
+  /// Wait on the global lock-manager mutex (LOCK_open), kept apart from
+  /// table-lock wait.
+  double lockManagerWaitSeconds = 0.0;
+};
 
 /// Simulated MySQL/MyISAM server.
 ///
@@ -90,15 +102,13 @@ class DatabaseServer {
   /// Total statements processed (for tests/benches).
   std::uint64_t statementsProcessed() const noexcept { return statements_; }
 
-  /// All table locks created so far (for lock-contention reporting).
-  const std::map<std::string, std::unique_ptr<sim::RwLock>>& tableLocks() const noexcept {
-    return locks_;
-  }
+  /// Adds this server's table-lock and lock-manager totals to `totals`.
+  void addLockTotals(LockTotals& totals) const;
 
-  /// The global lock-manager mutex, exposed so experiment results can report
-  /// its wait time (previously dropped from lock-wait accounting even though
-  /// its drain stalls are the fig05 mechanism).
-  const sim::Mutex& lockManager() const noexcept { return lockManager_; }
+  /// Registers this server's instruments, named after its machine: the
+  /// global lock-manager mutex (utilization ~1.0 is the LOCK TABLES wall),
+  /// table-lock queue depth and grant rate, and the statement throughput.
+  void addProbes(obs::MetricsRegistry& registry) const;
 
  private:
   friend class Connection;

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
@@ -9,6 +10,7 @@
 #include "db/plan.hpp"
 #include "middleware/database_server.hpp"
 #include "middleware/policy.hpp"
+#include "obs/metrics.hpp"
 #include "sim/resource.hpp"
 
 namespace mwsim::mw {
@@ -41,7 +43,7 @@ class DbCluster {
   /// Wraps one externally owned server (tests, hand-built rigs). The
   /// cluster adds no behavior at size 1 — DbSession takes the legacy
   /// single-server path.
-  explicit DbCluster(DatabaseServer& server) : backends_{&server} {}
+  explicit DbCluster(DatabaseServer& server) : backends_{&server}, reads_(1, 0) {}
 
   /// Owning mode: one DatabaseServer per (machine, database copy) pair.
   /// `machines` and `databases` must be the same length. The databases stay
@@ -57,12 +59,14 @@ class DbCluster {
   DatabaseServer& primary() noexcept { return *backends_[0]; }
   DbPolicy policy() const noexcept { return policy_; }
 
-  /// Next backend for a policy-free read (MasterReplica fan-out).
-  std::size_t routeRead() noexcept {
-    const std::size_t i = nextRead_;
-    nextRead_ = (nextRead_ + 1) % backends_.size();
-    return i;
-  }
+  /// Backend that serves one replicated read, counted against it. Inside a
+  /// LOCK TABLES section (`underLocks`) the read must run on a connection
+  /// that holds the locks; backend 0 is that connection's canonical home
+  /// (all backends hold the locks, pinning keeps the routing deterministic
+  /// and simple). Otherwise ShardedByKey picks the key owner and
+  /// MasterReplica rotates over all backends.
+  std::size_t routeRead(const db::PlannedStatement& stmt,
+                        const std::vector<db::Value>& params, bool underLocks);
 
   /// Key-owner backend for a statement (ShardedByKey). Keys on the first
   /// bound parameter when there is one (the apps' hot statements bind the
@@ -74,11 +78,20 @@ class DbCluster {
   /// global order. Null at size 1 (never needed).
   sim::Mutex* writeStream() noexcept { return writeStream_.get(); }
 
+  /// Lock contention summed over the backends, in backend order.
+  LockTotals lockTotals() const;
+
+  /// Registers every backend's instruments, then, for a replicated
+  /// cluster, the write stream's and the per-backend read counts
+  /// (`db.read.<machine>`).
+  void addProbes(obs::MetricsRegistry& registry) const;
+
  private:
   std::vector<std::unique_ptr<DatabaseServer>> owned_;  // owning mode only
   std::vector<DatabaseServer*> backends_;
   DbPolicy policy_ = DbPolicy::MasterReplica;
   std::size_t nextRead_ = 0;
+  std::vector<std::uint64_t> reads_;  // per backend, routed by routeRead
   std::unique_ptr<sim::Mutex> writeStream_;
 };
 

@@ -148,12 +148,10 @@ class DbSession {
                                     std::vector<db::Value> params = {}) {
     trace::SpanScope dbSpan(sim_, "db");
     auto stmt = StatementCache::global().get(sql);
-    if constexpr (obs::kEnabled) {
-      // The cache itself is process-global (shared across sweep workers),
-      // so hit/miss is counted per run: first use of a statement in this
-      // run is the miss. See MetricsRegistry::recordStatementUse.
-      if (auto* m = sim_.metrics()) m->recordStatementUse(stmt.get());
-    }
+    // The cache itself is process-global (shared across sweep workers), so
+    // hit/miss is counted per run: first use of a statement in this run is
+    // the miss. See MetricsRegistry::recordStatementUse.
+    if (auto* m = sim_.metrics()) m->recordStatementUse(stmt.get());
     const double perQueryUs =
         driver_ == DriverKind::Jdbc ? cost_.jdbcPerQueryUs : cost_.phpDriverPerQueryUs;
     const double perByteUs =
@@ -213,20 +211,9 @@ class DbSession {
 
     const bool underLocks = conns_[0]->holdsExplicitLocks();
     if (kind == db::Statement::Kind::Select) {
-      // Reads scale out: route to one backend. Inside a LOCK TABLES section
-      // the read must run on a connection that holds the locks; backend 0
-      // is that connection's canonical home (all backends hold the locks,
-      // pinning keeps the routing deterministic and simple).
-      std::size_t target = 0;
-      if (!underLocks) {
-        target = cluster.policy() == DbPolicy::ShardedByKey
-                     ? cluster.shardFor(*stmt, params)
-                     : cluster.routeRead();
-      }
+      // Reads scale out: route to one backend.
+      const std::size_t target = cluster.routeRead(*stmt, params, underLocks);
       DatabaseServer& backend = cluster.backend(target);
-      if constexpr (obs::kEnabled) {
-        if (auto* m = sim_.metrics()) m->recordBackendRead(target);
-      }
       co_await net_.send(host_, backend.machine(), requestBytes);
       db::ExecResult result = co_await conns_[target]->process(std::move(stmt),
                                                                std::move(params));

@@ -4,11 +4,13 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "middleware/application.hpp"
 #include "middleware/failure.hpp"
 #include "middleware/policy.hpp"
+#include "obs/metrics.hpp"
 #include "sim/simulation.hpp"
 
 namespace mwsim::mw {
@@ -141,10 +143,6 @@ class LoadBalancer final : public HttpService {
   }
   bool healthy(std::size_t i) const { return healthy_.at(i) != 0; }
 
-  /// Metrics wiring: per-replica in-flight gauges read through the picker.
-  std::size_t replicaCount() const noexcept { return replicas_.size(); }
-  const ReplicaPicker& picker() const noexcept { return picker_; }
-
   /// Requests answered with the balancer's own error page (budget
   /// exhausted, timed out, or no healthy replica).
   std::uint64_t errorCount() const noexcept { return errors_; }
@@ -152,8 +150,24 @@ class LoadBalancer final : public HttpService {
   std::uint64_t rerouteCount() const noexcept { return reroutes_; }
   /// Requests that observed their deadline pass.
   std::uint64_t timeoutCount() const noexcept { return timeouts_; }
-  /// Replica health changes (each crash or recovery that took effect).
-  std::uint64_t healthFlipCount() const noexcept { return healthFlips_; }
+
+  /// Registers a per-replica in-flight gauge (`lb/inflight.<name>`, with
+  /// `replicaNames` in replica order) and counter probes over this
+  /// balancer's counts: health changes (each crash or recovery that took
+  /// effect), reroutes, timeouts and error pages.
+  void addProbes(obs::MetricsRegistry& registry,
+                 const std::vector<std::string>& replicaNames) const {
+    assert(replicaNames.size() == replicas_.size());
+    for (std::size_t i = 0; i < replicas_.size(); ++i) {
+      registry.addGaugeProbe("lb/inflight." + replicaNames[i], [this, i] {
+        return static_cast<double>(picker_.inflight(i));
+      });
+    }
+    registry.addCounterProbe("lb.health_flips", [this] { return healthFlips_; });
+    registry.addCounterProbe("lb.reroutes", [this] { return reroutes_; });
+    registry.addCounterProbe("lb.timeouts", [this] { return timeouts_; });
+    registry.addCounterProbe("lb.errors", [this] { return errors_; });
+  }
 
   sim::Task<InteractionResult> serve(const Request& request) override {
     Request routed = request;

@@ -6,6 +6,7 @@
 #include "middleware/cost_model.hpp"
 #include "middleware/failure.hpp"
 #include "net/network.hpp"
+#include "obs/metrics.hpp"
 #include "sim/resource.hpp"
 #include "trace/scope.hpp"
 
@@ -36,6 +37,18 @@ class WebServer final : public HttpService {
   /// Dynamic-content requests that failed and were answered with an error
   /// page.
   std::uint64_t errorCount() const noexcept { return errors_; }
+
+  /// Registers the httpd process pool's occupancy and queue depth, named
+  /// after this server's machine.
+  void addProbes(obs::MetricsRegistry& registry) const {
+    const std::string& n = machine_.name();
+    const sim::Resource& pool = processPool_;
+    registry.addUtilizationProbe(n + "/httpd-pool", obs::ResourceKind::Pool,
+                                 static_cast<double>(pool.capacity()),
+                                 [&pool] { return pool.busyUnitSeconds(); });
+    registry.addGaugeProbe(n + "/httpd-pool.queue",
+                           [&pool] { return static_cast<double>(pool.queueLength()); });
+  }
 
   /// Serves one interaction. `request` must stay alive until the returned
   /// task completes (callers co_await immediately; do not pass a temporary

@@ -1,19 +1,21 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
-#include "obs/enabled.hpp"
 #include "sim/time.hpp"
 #include "stats/histogram.hpp"
 
 namespace mwsim::obs {
+
+/// Always true: every build compiles the metrics layer in. Kept only
+/// because the host-time benchmark (perfbench/main.cpp) still reads it to
+/// set `metrics.enabled`; drop it with that reader.
+inline constexpr bool kEnabled = true;
 
 /// The metrics pump's sampling period: paper §4.5 samples every second
 /// with sysstat, and so do we.
@@ -30,7 +32,7 @@ struct Options {
   bool enabled = false;
 };
 
-/// Monotonic event counter (cache hits, per-backend reads...).
+/// Monotonic event counter (the per-run statement and plan cache counts).
 class Counter {
  public:
   void add(std::uint64_t n = 1) noexcept { value_ += n; }
@@ -38,27 +40,6 @@ class Counter {
 
  private:
   std::uint64_t value_ = 0;
-};
-
-/// Last-write-wins instantaneous value.
-class Gauge {
- public:
-  void set(double v) noexcept { value_ = v; }
-  void add(double d) noexcept { value_ += d; }
-  double value() const noexcept { return value_; }
-
- private:
-  double value_ = 0.0;
-};
-
-/// Log-bucketed distribution instrument, reusing stats::Histogram.
-class HistogramInstrument {
- public:
-  void record(double value) { hist_.record(value); }
-  const stats::Histogram& histogram() const noexcept { return hist_; }
-
- private:
-  stats::Histogram hist_;
 };
 
 /// What kind of saturable resource a utilization series measures. The
@@ -88,14 +69,15 @@ inline bool verdictCandidate(ResourceKind k) {
 
 /// Per-simulation instrument registry.
 ///
-/// One registry belongs to one run (mirroring trace::Collector), reachable
-/// from middleware through sim::Simulation::metrics(); every hook site is
-/// guarded by `if constexpr (obs::kEnabled)` plus a null check, so the
-/// layer costs nothing at all when compiled out. The hot middleware
-/// counters are plain members — no name lookup on the request path.
-/// Components that already count something (the load balancer's errors,
-/// the open-loop farm's arrivals, a NIC's bytes) keep the count themselves,
-/// and the wiring registers a counter probe that reads it.
+/// One registry belongs to one run (mirroring trace::Collector). Every
+/// instrument is a pull probe: each component keeps its own counts and
+/// busy integrals, and registers the probes that read them next to that
+/// state (`addProbes(MetricsRegistry&)` on the database server, the
+/// cluster, the web server, the load balancer and the open-loop farm;
+/// obs::addMachineProbes for machines). The one exception is the four
+/// per-run statement/plan cache counters below, which the middleware bumps
+/// through sim::Simulation::metrics() because the caches themselves are
+/// shared by every run in the process.
 ///
 /// Register everything before the pump takes its first sample: the pump
 /// snapshots the full instrument list each tick, so late registration
@@ -117,32 +99,6 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  // --- Named instruments (create-or-get; deque storage keeps pointers
-  // stable across creation) ----------------------------------------------
-  Counter& counter(const std::string& name) {
-    auto it = counterIndex_.find(name);
-    if (it != counterIndex_.end()) return *it->second;
-    Counter& c = counterStore_.emplace_back();
-    registerCounter(name, &c);
-    return c;
-  }
-  Gauge& gauge(const std::string& name) {
-    auto it = gaugeIndex_.find(name);
-    if (it != gaugeIndex_.end()) return *it->second;
-    Gauge& g = gaugeStore_.emplace_back();
-    gaugeIndex_.emplace(name, &g);
-    // A plain gauge is sampled like a pull probe reading itself.
-    gaugeProbes_.push_back({name, [&g] { return g.value(); }});
-    return g;
-  }
-  HistogramInstrument& histogram(const std::string& name) {
-    auto it = histogramIndex_.find(name);
-    if (it != histogramIndex_.end()) return *it->second;
-    HistogramInstrument& h = histogramStore_.emplace_back();
-    histogramIndex_.emplace(name, &h);
-    addHistogram(name, h.histogram());
-    return h;
-  }
   /// Summarizes a distribution recorded elsewhere (the workload's response
   /// times) under `name`; `hist` must outlive the pump.
   void addHistogram(std::string name, const stats::Histogram& hist) {
@@ -209,17 +165,6 @@ class MetricsRegistry {
     (planSeen_.insert(plan).second ? planCacheMiss : planCacheHit).add(1);
   }
 
-  // --- Per-backend read fan-out ------------------------------------------
-  void initBackendReads(const std::vector<std::string>& backendNames) {
-    backendReads_.clear();
-    for (const auto& name : backendNames) {
-      backendReads_.push_back(&counter("db.read." + name));
-    }
-  }
-  void recordBackendRead(std::size_t i) {
-    if (i < backendReads_.size()) backendReads_[i]->add(1);
-  }
-
   // --- Pump/report access -------------------------------------------------
   struct NamedHistogram {
     std::string name;
@@ -234,17 +179,10 @@ class MetricsRegistry {
   const std::vector<NamedHistogram>& histograms() const noexcept { return histograms_; }
 
  private:
-  void registerCounter(std::string name, Counter* c) {
-    counterIndex_.emplace(name, c);
+  void registerCounter(std::string name, const Counter* c) {
     addCounterProbe(std::move(name), [c] { return c->value(); });
   }
 
-  std::deque<Counter> counterStore_;
-  std::deque<Gauge> gaugeStore_;
-  std::deque<HistogramInstrument> histogramStore_;
-  std::unordered_map<std::string, Counter*> counterIndex_;
-  std::unordered_map<std::string, Gauge*> gaugeIndex_;
-  std::unordered_map<std::string, HistogramInstrument*> histogramIndex_;
   std::vector<CounterProbe> counters_;
   std::vector<GaugeProbe> gaugeProbes_;
   std::vector<UtilizationProbe> utilProbes_;
@@ -252,7 +190,6 @@ class MetricsRegistry {
   std::vector<NamedHistogram> histograms_;
   std::unordered_set<const void*> stmtSeen_;
   std::unordered_set<const void*> planSeen_;
-  std::vector<Counter*> backendReads_;
 };
 
 }  // namespace mwsim::obs

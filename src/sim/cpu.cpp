@@ -30,11 +30,9 @@ double CpuResource::busyCoreSeconds() const noexcept {
                          ? static_cast<int>(jobs_.size())
                          : cores_;
     busyIntegral_ += dt * busy;
-    if constexpr (obs::kEnabled) {
-      // The job count is constant between event dispatches, so folding at
-      // the same instants as the busy integral makes this exact.
-      queueIntegral_ += dt * static_cast<double>(jobs_.size());
-    }
+    // The job count is constant between event dispatches, so folding at
+    // the same instants as the busy integral makes this exact.
+    queueIntegral_ += dt * static_cast<double>(jobs_.size());
     lastIntegralUpdate_ = now;
   }
   return busyIntegral_;
@@ -42,11 +40,8 @@ double CpuResource::busyCoreSeconds() const noexcept {
 
 void CpuResource::addJob(Duration work, std::coroutine_handle<> h) {
   advance();
-  Job job{h, nullptr, work, sim_.now()};
-  if constexpr (trace::kEnabled) {
-    job.span = sim_.currentSpan();
-    if (job.span != nullptr) sim_.setCurrentSpan(nullptr);  // cleared at suspension
-  }
+  Job job{h, sim_.currentSpan(), work, sim_.now()};
+  if (job.span != nullptr) sim_.setCurrentSpan(nullptr);  // cleared at suspension
   jobs_.push_back(PendingJob{v_ + toSeconds(work), jobSeq_++, job});
   std::push_heap(jobs_.begin(), jobs_.end(), PendingJob::later);
   scheduleNextCompletion();
@@ -89,29 +84,25 @@ void CpuResource::onCompletionEvent(std::uint64_t seq) {
     jobs_.pop_back();
   }
   completed_ += finished.size();
-  if constexpr (obs::kEnabled) {
-    for (const Job& job : finished) {
-      sojournSeconds_ += toSeconds(sim_.now() - job.enqueued);
-    }
+  for (const Job& job : finished) {
+    sojournSeconds_ += toSeconds(sim_.now() - job.enqueued);
   }
   scheduleNextCompletion();
   for (const Job& job : finished) {
-    if constexpr (trace::kEnabled) {
-      if (job.span != nullptr) {
-        const Duration elapsed = sim_.now() - job.enqueued;
-        // Batched completions within kVEpsilon (and the +1ns event round-up)
-        // can make elapsed differ slightly from the ideal; clamp so service
-        // never exceeds either demand or elapsed, and the split stays exact.
-        const Duration service = elapsed < job.work ? elapsed : job.work;
-        job.span->add(trace::Category::CpuService, service);
-        job.span->add(trace::Category::CpuQueue, elapsed - service);
-        sim_.setCurrentSpan(job.span);
-        job.handle.resume();
-        sim_.setCurrentSpan(nullptr);
-        continue;
-      }
+    if (job.span != nullptr) {
+      const Duration elapsed = sim_.now() - job.enqueued;
+      // Batched completions within kVEpsilon (and the +1ns event round-up)
+      // can make elapsed differ slightly from the ideal; clamp so service
+      // never exceeds either demand or elapsed, and the split stays exact.
+      const Duration service = elapsed < job.work ? elapsed : job.work;
+      job.span->add(trace::Category::CpuService, service);
+      job.span->add(trace::Category::CpuQueue, elapsed - service);
+      sim_.setCurrentSpan(job.span);
+      job.handle.resume();
+      sim_.setCurrentSpan(nullptr);
+    } else {
+      job.handle.resume();
     }
-    job.handle.resume();
   }
   returnScratch(std::move(finished));
 }

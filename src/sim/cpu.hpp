@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/enabled.hpp"
 #include "sim/simulation.hpp"
 #include "sim/time.hpp"
 
@@ -81,14 +80,12 @@ class CpuResource {
   /// Integral of jobs-in-system over time, in job-seconds: L for a
   /// Little's-law check is this divided by the window length. Folded at
   /// the same instants as the busy integral, so it is exact, not sampled.
-  /// Always zero when built with -DMWSIM_METRICS=OFF.
   double jobIntegralSeconds() const noexcept {
     busyCoreSeconds();  // folds both integrals up to now
     return queueIntegral_;
   }
   /// Cumulative sojourn (enqueue -> completion) of completed jobs, in
-  /// seconds: W is this divided by jobsCompleted(). Zero when metrics are
-  /// compiled out.
+  /// seconds: W is this divided by jobsCompleted().
   double sojournSeconds() const noexcept { return sojournSeconds_; }
 
  private:
@@ -122,8 +119,8 @@ class CpuResource {
   SimTime lastUpdate_ = 0;
   mutable double busyIntegral_ = 0.0;  // core-seconds
   mutable SimTime lastIntegralUpdate_ = 0;
-  mutable double queueIntegral_ = 0.0;  // job-seconds (metrics builds only)
-  double sojournSeconds_ = 0.0;         // metrics builds only
+  mutable double queueIntegral_ = 0.0;  // job-seconds
+  double sojournSeconds_ = 0.0;
   /// Event seq of the live completion event; any completion event whose
   /// seq differs was superseded by a later arrival/departure and is
   /// ignored at dispatch. Seqs are unique for the simulation's lifetime,

@@ -36,9 +36,7 @@ void Resource::release() noexcept {
     // between now and the waiter's resumption.
     ++inUse_;
     totalWait_ += sim_.now() - w.enqueued;
-    if constexpr (trace::kEnabled) {
-      if (w.span != nullptr) w.span->add(waitCategory_, sim_.now() - w.enqueued);
-    }
+    if (w.span != nullptr) w.span->add(waitCategory_, sim_.now() - w.enqueued);
     if (sim_.mcObserver() != nullptr) [[unlikely]] {
       sim_.mcTagNextEvent(w.actor, mcId_, mc::Op::AcquireGrant);
       sim_.mcEmit({mc::LockOp::Kind::AcquireGrant, mcId_, w.actor, sim_.now(),

@@ -64,11 +64,8 @@ class Resource {
     }
     void await_suspend(std::coroutine_handle<> h) {
       suspended = true;
-      trace::Span* span = nullptr;
-      if constexpr (trace::kEnabled) {
-        span = res.sim_.currentSpan();
-        if (span != nullptr) res.sim_.setCurrentSpan(nullptr);  // cleared at suspension
-      }
+      trace::Span* span = res.sim_.currentSpan();
+      if (span != nullptr) res.sim_.setCurrentSpan(nullptr);  // cleared at suspension
       res.waiters_.push_back(
           Waiter{h, res.sim_.now(), span, res.sim_.mcActor()});
       if (res.sim_.mcObserver() != nullptr) [[unlikely]] res.mcOnQueued();

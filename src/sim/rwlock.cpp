@@ -46,11 +46,7 @@ void RwLock::grantWaiter(std::size_t index) noexcept {
     ++activeReaders_;
   }
   totalWait_ += sim_.now() - w.enqueued;
-  if constexpr (trace::kEnabled) {
-    if (w.span != nullptr) {
-      w.span->add(trace::Category::LockWait, sim_.now() - w.enqueued);
-    }
-  }
+  if (w.span != nullptr) w.span->add(trace::Category::LockWait, sim_.now() - w.enqueued);
   if (sim_.mcObserver() != nullptr) [[unlikely]] {
     sim_.mcTagNextEvent(w.actor, mcId_,
                         w.write ? mc::Op::WriteGrant : mc::Op::ReadGrant);

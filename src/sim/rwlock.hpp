@@ -62,11 +62,8 @@ class RwLock {
       suspended = true;
       if (write) ++lock.writersWaiting_;
       ++lock.contended_;
-      trace::Span* span = nullptr;
-      if constexpr (trace::kEnabled) {
-        span = lock.sim_.currentSpan();
-        if (span != nullptr) lock.sim_.setCurrentSpan(nullptr);  // cleared at suspension
-      }
+      trace::Span* span = lock.sim_.currentSpan();
+      if (span != nullptr) lock.sim_.setCurrentSpan(nullptr);  // cleared at suspension
       lock.waiters_.push_back(
           Waiter{h, write, lock.sim_.now(), span, lock.sim_.mcActor()});
       if (lock.sim_.mcObserver() != nullptr) [[unlikely]] {

@@ -99,14 +99,12 @@ void Simulation::dispatchOne() {
   // Ambient-span contract: currentSpan_ is null between events (every
   // suspension point clears it after capturing), so only traced events —
   // a small minority even in traced runs — pay the publish/clear stores.
-  if constexpr (trace::kEnabled) {
-    if (trace::Span* span = ev.span(); span != nullptr) {
-      currentSpan_ = span;
-      runPayload(ev);
-      currentSpan_ = nullptr;
-      if (mc) [[unlikely]] mcEndDispatch();
-      return;
-    }
+  if (trace::Span* span = ev.span(); span != nullptr) {
+    currentSpan_ = span;
+    runPayload(ev);
+    currentSpan_ = nullptr;
+    if (mc) [[unlikely]] mcEndDispatch();
+    return;
   }
   runPayload(ev);
   if (mc) [[unlikely]] mcEndDispatch();

@@ -155,16 +155,13 @@ class Simulation {
     trace::Category cat = trace::Category::Other;
     bool await_ready() const noexcept { return d <= 0; }
     void await_suspend(std::coroutine_handle<> h) const {
-      trace::Span* span = nullptr;
-      if constexpr (trace::kEnabled) {
-        span = sim.currentSpan_;
-        if (span) {
-          span->add(cat, d);
-          // Every suspension clears the ambient span (the resume path
-          // republishes it), so the dispatcher touches it only for traced
-          // events — see dispatchOne().
-          sim.currentSpan_ = nullptr;
-        }
+      trace::Span* span = sim.currentSpan_;
+      if (span) {
+        span->add(cat, d);
+        // Every suspension clears the ambient span (the resume path
+        // republishes it), so the dispatcher touches it only for traced
+        // events — see dispatchOne().
+        sim.currentSpan_ = nullptr;
       }
       sim.scheduleResume(d, h, span);
     }
@@ -202,10 +199,9 @@ class Simulation {
   /// kernel.events gauge).
   std::uint64_t pendingEvents() const noexcept { return queue_.size(); }
 
-  /// Per-simulation metrics registry, or null when metrics are off for
-  /// this run. Mirrors the mc::KernelObserver pattern: components reach it
-  /// through their Simulation reference, and every hook site checks
-  /// obs::kEnabled first so -DMWSIM_METRICS=OFF compiles the access out.
+  /// Per-simulation metrics registry, or null when none is attached (bare
+  /// kernels and tests). Mirrors the mc::KernelObserver pattern: components
+  /// reach it through their Simulation reference.
   obs::MetricsRegistry* metrics() const noexcept { return metrics_; }
   void setMetrics(obs::MetricsRegistry* m) noexcept { metrics_ = m; }
 

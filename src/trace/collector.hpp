@@ -72,9 +72,8 @@ class Collector {
   Collector(const Collector&) = delete;
   Collector& operator=(const Collector&) = delete;
 
-  /// False when tracing is compiled out (-DMWSIM_TRACING=OFF): an OFF build
-  /// can never collect, so callers skip building reports entirely.
-  bool enabled() const noexcept { return kEnabled && options_.enabled; }
+  /// Whether this run collects traces.
+  bool enabled() const noexcept { return options_.enabled; }
   /// Mirrors WorkloadStats::setMeasuring: traces completed outside the
   /// measurement window are dropped, so aggregates match reported stats.
   void setMeasuring(bool on) noexcept { measuring_ = on; }

@@ -19,25 +19,21 @@ namespace mwsim::trace {
 class [[nodiscard]] SpanScope {
  public:
   /// Root form: opens the root span of `trace`. Passing a null trace makes
-  /// the whole scope a no-op (used when the collector is disabled).
+  /// the whole scope a no-op (the client farms' untraced interactions).
   SpanScope(sim::Simulation& sim, Trace* trace, const char* name) : sim_(sim) {
-    if constexpr (kEnabled) {
-      if (trace != nullptr) {
-        prev_ = sim_.currentSpan();
-        span_ = trace->open(name, prev_, sim_.now());
-        sim_.setCurrentSpan(span_);
-      }
+    if (trace != nullptr) {
+      prev_ = sim_.currentSpan();
+      span_ = trace->open(name, prev_, sim_.now());
+      sim_.setCurrentSpan(span_);
     }
   }
 
   /// Child form: opens a child of the current span, if any.
   SpanScope(sim::Simulation& sim, const char* name) : sim_(sim) {
-    if constexpr (kEnabled) {
-      prev_ = sim_.currentSpan();
-      if (prev_ != nullptr) {
-        span_ = prev_->trace->open(name, prev_, sim_.now());
-        sim_.setCurrentSpan(span_);
-      }
+    prev_ = sim_.currentSpan();
+    if (prev_ != nullptr) {
+      span_ = prev_->trace->open(name, prev_, sim_.now());
+      sim_.setCurrentSpan(span_);
     }
   }
 
@@ -45,11 +41,9 @@ class [[nodiscard]] SpanScope {
   SpanScope& operator=(const SpanScope&) = delete;
 
   ~SpanScope() {
-    if constexpr (kEnabled) {
-      if (span_ != nullptr) {
-        span_->end = sim_.now();
-        sim_.setCurrentSpan(prev_);
-      }
+    if (span_ != nullptr) {
+      span_->end = sim_.now();
+      sim_.setCurrentSpan(prev_);
     }
   }
 

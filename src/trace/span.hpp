@@ -11,17 +11,6 @@
 
 namespace mwsim::trace {
 
-/// Compile-time kill switch. Building with -DMWSIM_TRACING=OFF (which
-/// defines MWSIM_TRACE_OFF) compiles every instrumentation hook in the
-/// simulation kernel down to nothing; CI uses that build as the baseline
-/// for the tracing-disabled overhead check. With tracing compiled in but
-/// not enabled for a run, every hook reduces to copying a null pointer.
-#ifdef MWSIM_TRACE_OFF
-inline constexpr bool kEnabled = false;
-#else
-inline constexpr bool kEnabled = true;
-#endif
-
 /// Where one nanosecond of a request's life went. Every simulated
 /// suspension attributes its full elapsed time to exactly one category of
 /// exactly one span, so the categories of a span tree sum to the root

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <optional>
 #include <string>
 
 #include "middleware/web_server.hpp"
@@ -78,22 +79,20 @@ class ClientFarm {
         mw::Request request{mix_.stateName(state), &session};
         const sim::SimTime start = sim_.now();
         mw::InteractionResult result{};
-        // Tracing must not perturb the simulation: the traced path differs
-        // only in observing virtual time, never in what it awaits.
-        const bool traced = trace::kEnabled && collector_ != nullptr &&
-                            collector_->enabled() && collector_->measuring();
-        if (traced) {
-          trace::Trace trace(request.interaction, clientId);
-          {
-            trace::SpanScope rootSpan(sim_, &trace, "interaction");
-            result = co_await web_.serve(request);
-          }
-          // add() drops the trace if the measurement window closed while
-          // the interaction was in flight, keeping aggregates in-window.
-          collector_->add(std::move(trace));
-        } else {
+        std::optional<trace::Trace> traced;
+        if (collector_ != nullptr && collector_->enabled() && collector_->measuring()) {
+          traced.emplace(request.interaction, clientId);
+        }
+        {
+          // Tracing must not perturb the simulation: there is one path,
+          // and with no trace the root scope is a no-op, so a traced
+          // interaction awaits exactly what an untraced one does.
+          trace::SpanScope rootSpan(sim_, traced ? &*traced : nullptr, "interaction");
           result = co_await web_.serve(request);
         }
+        // add() drops the trace if the measurement window closed while the
+        // interaction was in flight, keeping aggregates in-window.
+        if (traced) collector_->add(std::move(*traced));
         stats_.record(mix_.isReadWrite(state), sim::toSeconds(sim_.now() - start), result,
                       sim_.now());
         co_await sim_.delay(

@@ -1,7 +1,9 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 
+#include "obs/metrics.hpp"
 #include "scenario/arrival.hpp"
 #include "scenario/spec.hpp"
 #include "workload/client.hpp"
@@ -39,6 +41,12 @@ class OpenLoopFarm {
   /// Sessions currently active.
   int activeSessions() const noexcept { return active_; }
 
+  /// Registers counter probes over the arrivals and the shed sessions.
+  void addProbes(obs::MetricsRegistry& registry) const {
+    registry.addCounterProbe("wl.arrivals", [this] { return arrivals_; });
+    registry.addCounterProbe("wl.shed", [this] { return shed_; });
+  }
+
  private:
   sim::Task<> arrivalLoop() {
     sim::Rng rng(sim::deriveSeed(seed_, 0xA221A1ULL));
@@ -68,19 +76,16 @@ class OpenLoopFarm {
       mw::Request request{mix_.stateName(state), &session};
       const sim::SimTime start = sim_.now();
       mw::InteractionResult result{};
-      // Same traced/untraced split as ClientFarm: tracing only observes.
-      const bool traced = trace::kEnabled && collector_ != nullptr &&
-                          collector_->enabled() && collector_->measuring();
-      if (traced) {
-        trace::Trace trace(request.interaction, static_cast<int>(sessionId));
-        {
-          trace::SpanScope rootSpan(sim_, &trace, "interaction");
-          result = co_await web_.serve(request);
-        }
-        collector_->add(std::move(trace));
-      } else {
+      // One path, as in ClientFarm: tracing only observes.
+      std::optional<trace::Trace> traced;
+      if (collector_ != nullptr && collector_->enabled() && collector_->measuring()) {
+        traced.emplace(request.interaction, static_cast<int>(sessionId));
+      }
+      {
+        trace::SpanScope rootSpan(sim_, traced ? &*traced : nullptr, "interaction");
         result = co_await web_.serve(request);
       }
+      if (traced) collector_->add(std::move(*traced));
       stats_.record(mix_.isReadWrite(state), sim::toSeconds(sim_.now() - start), result,
                     sim_.now());
       // An error page ends the session — the user gives up. This is what

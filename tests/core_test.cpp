@@ -156,6 +156,18 @@ TEST(ExperimentTest, InvalidParamsAreRejectedBeforeTheDatasetCache) {
         p.app = App::Bookstore;
         p.bookstoreScale = 0;
       },
+      // A mix the app does not have (mixName says "?"): it used to run with
+      // another app's weights, or read past an empty weight vector.
+      [](ExperimentParams& p) { p.mix = 2; },
+      [](ExperimentParams& p) { p.mix = -1; },
+      [](ExperimentParams& p) {
+        p.app = App::BulletinBoard;
+        p.mix = 2;
+      },
+      [](ExperimentParams& p) {
+        p.app = App::Bookstore;
+        p.mix = 3;
+      },
   };
   for (std::size_t i = 0; i < bad.size(); ++i) {
     auto p = valid();

@@ -250,12 +250,8 @@ TEST(DeterminismTest, TracingDoesNotPerturbSimulatedResults) {
   const auto traced = runExperiment(p);
   expectIdentical(untraced, traced);
   EXPECT_EQ(untraced.trace, nullptr);
-  if (trace::kEnabled) {  // an -DMWSIM_TRACING=OFF build collects nothing
-    ASSERT_NE(traced.trace, nullptr);
-    EXPECT_GT(traced.trace->traces, 0u);
-  } else {
-    EXPECT_EQ(traced.trace, nullptr);
-  }
+  ASSERT_NE(traced.trace, nullptr);
+  EXPECT_GT(traced.trace->traces, 0u);
 }
 
 TEST(DeterminismTest, TracedSweepIsJobsInvariantIncludingJson) {
@@ -275,7 +271,6 @@ TEST(DeterminismTest, TracedSweepIsJobsInvariantIncludingJson) {
     ASSERT_EQ(a[c].size(), b[c].size());
     for (std::size_t p = 0; p < a[c].size(); ++p) {
       expectIdentical(a[c][p], b[c][p]);
-      if (!trace::kEnabled) continue;  // stats identity still checked above
       ASSERT_NE(a[c][p].trace, nullptr);
       ASSERT_NE(b[c][p].trace, nullptr);
       EXPECT_EQ(trace::chromeTraceJson(*a[c][p].trace),

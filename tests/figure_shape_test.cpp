@@ -67,7 +67,6 @@ TEST(FigureShapeTest, Fig05BookstoreVerdictIsDatabaseCpu) {
   // The paper's *explanation*, machine-checked (PR 10): for the shopping
   // mix the database CPU is the bottleneck at peak — in the LOCK TABLES
   // configuration and the sync variant alike (Figure 6's utilization plot).
-  if (!obs::kEnabled) GTEST_SKIP() << "metrics compiled out";
   const auto base = saturatedParams(App::Bookstore, 500, 8, 30);
   for (const auto config :
        {Configuration::WsServletDb, Configuration::WsServletDbSync}) {
@@ -86,7 +85,6 @@ TEST(FigureShapeTest, Fig09OrderingMixVerdictIsTheLockManager) {
   // write-heavy mix saturates the global lock manager while the database
   // CPU stays clearly below saturation, so the verdict must name the lock —
   // not the hottest CPU — as the wall.
-  if (!obs::kEnabled) GTEST_SKIP() << "metrics compiled out";
   auto base = saturatedParams(App::Bookstore, 500, 8, 30);
   base.mix = 2;  // ordering
   const auto result = resultWithMetricsAt(base, Configuration::WsServletDb);
@@ -131,7 +129,6 @@ TEST(FigureShapeTest, Fig12AuctionVerdictIsGeneratorCpuWithDbCool) {
   // Figure 12's stated cause: the dynamic-content generator's CPU saturates
   // while "the database CPU utilization remains low" — for WsPhp-DB the web
   // server pegs with the database well below saturation.
-  if (!obs::kEnabled) GTEST_SKIP() << "metrics compiled out";
   const auto base = saturatedParams(App::Auction, 1500, 20, 12);
   const auto php = resultWithMetricsAt(base, Configuration::WsPhpDb);
   ASSERT_NE(php.metrics, nullptr);

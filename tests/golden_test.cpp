@@ -11,9 +11,13 @@
 /// over their bit patterns (the same digest perfbench prints), so any
 /// change to a simulated number, however small, changes the digest. The
 /// trace and the metrics report are observations, not results, and stay
-/// out of the hash. A change that alters results on purpose updates the
-/// table below: on a mismatch the test prints every point's actual digest
-/// in the table's own syntax.
+/// out of that hash. The three extra points also pin their metrics report
+/// in a second digest: every series' name, kind, capacity and samples, in
+/// registration order, and the verdict. That holds the layout and values
+/// of the instruments the components register (`db.read.*`, the write
+/// stream, `lb/inflight.*`, `wl.*`) to committed values too. A change that
+/// alters results on purpose updates the tables below: on a mismatch the
+/// test prints every actual digest in the tables' own syntax.
 #include <gtest/gtest.h>
 
 #include <cinttypes>
@@ -21,9 +25,11 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "core/experiment.hpp"
+#include "obs/report.hpp"
 
 namespace mwsim::core {
 namespace {
@@ -105,6 +111,70 @@ std::uint64_t digest(const ExperimentResult& r) {
   return h.value();
 }
 
+template <typename T>
+void hashSamples(Fnv1a& h, const std::vector<T>& samples) {
+  h.u64(samples.size());
+  for (const T v : samples) {
+    if constexpr (std::is_floating_point_v<T>) {
+      h.f64(v);
+    } else {
+      h.u64(static_cast<std::uint64_t>(v));
+    }
+  }
+}
+
+std::uint64_t metricsDigest(const obs::MetricsReport& m) {
+  Fnv1a h;
+  h.u64(static_cast<std::uint64_t>(m.period));
+  h.u64(static_cast<std::uint64_t>(m.windowStart));
+  h.u64(static_cast<std::uint64_t>(m.windowEnd));
+  hashSamples(h, m.times);
+  h.u64(m.utilization.size());
+  for (const auto& s : m.utilization) {
+    h.str(s.name);
+    h.u64(static_cast<std::uint64_t>(s.kind));
+    h.f64(s.capacity);
+    hashSamples(h, s.cumulative);
+  }
+  h.u64(m.gauges.size());
+  for (const auto& s : m.gauges) {
+    h.str(s.name);
+    hashSamples(h, s.values);
+  }
+  h.u64(m.counters.size());
+  for (const auto& s : m.counters) {
+    h.str(s.name);
+    hashSamples(h, s.cumulative);
+  }
+  h.u64(m.little.size());
+  for (const auto& s : m.little) {
+    h.str(s.name);
+    hashSamples(h, s.jobIntegral);
+    hashSamples(h, s.completed);
+    hashSamples(h, s.sojourn);
+  }
+  h.u64(m.histograms.size());
+  for (const auto& s : m.histograms) {
+    h.str(s.name);
+    h.u64(s.count);
+    for (const double v : {s.mean, s.p50, s.p90, s.p99, s.min, s.max}) h.f64(v);
+  }
+  const obs::Verdict& v = m.verdict;
+  h.str(v.resource);
+  h.u64(static_cast<std::uint64_t>(v.kind));
+  h.f64(v.utilization);
+  h.f64(v.plateauFraction);
+  h.u64(v.saturated ? 1 : 0);
+  h.str(v.dominant);
+  h.str(v.note);
+  h.u64(v.little.size());
+  for (const obs::LittleRecord& r : v.little) {
+    h.str(r.name);
+    for (const double x : {r.L, r.lambda, r.W, r.relError}) h.f64(x);
+  }
+  return h.value();
+}
+
 ExperimentParams miniature(App app, int mix, Configuration config) {
   ExperimentParams base;
   base.app = app;
@@ -123,6 +193,8 @@ ExperimentParams miniature(App app, int mix, Configuration config) {
 struct GoldenPoint {
   std::string name;
   ExperimentParams params;
+  /// Also pin the attached metrics report (kExpectedMetrics).
+  bool pinMetrics = false;
 };
 
 std::vector<GoldenPoint> goldenPoints() {
@@ -149,7 +221,7 @@ std::vector<GoldenPoint> goldenPoints() {
   two.db.replicas = 2;
   two.dbPolicy = mw::DbPolicy::MasterReplica;
   replicated.topology = two;
-  out.push_back({"auction/bidding/db x2 master-replica", replicated});
+  out.push_back({"auction/bidding/db x2 master-replica", replicated, true});
 
   ExperimentParams open = miniature(App::Auction, 1, Configuration::WsPhpDb);
   open.scenario.mode = scenario::ArrivalMode::OpenLoop;
@@ -157,7 +229,7 @@ std::vector<GoldenPoint> goldenPoints() {
   open.scenario.openThinkMean = sim::kSecond;
   open.scenario.maxInFlightSessions = 4;
   open.scenario.seriesInterval = 2 * sim::kSecond;
-  out.push_back({"auction/bidding/open-loop shedding", open});
+  out.push_back({"auction/bidding/open-loop shedding", open, true});
 
   ExperimentParams crash = miniature(App::Auction, 1, Configuration::WsPhpDb);
   crash.clients = 1500;  // the survivor saturates: reroutes, timeouts, errors
@@ -171,7 +243,7 @@ std::vector<GoldenPoint> goldenPoints() {
   crash.scenario.requestTimeout = sim::fromMillis(500);
   crash.scenario.requestRetries = 2;
   crash.scenario.seriesInterval = 2 * sim::kSecond;
-  out.push_back({"auction/bidding/web x2 crash-recover", crash});
+  out.push_back({"auction/bidding/web x2 crash-recover", crash, true});
   return out;
 }
 
@@ -224,6 +296,29 @@ const std::map<std::string, std::uint64_t> kExpected = {
     {"auction/bidding/web x2 crash-recover", 0x551b611d06a9efefULL},
 };
 
+// Generated by this test, like kExpected.
+const std::map<std::string, std::uint64_t> kExpectedMetrics = {
+    {"auction/bidding/db x2 master-replica", 0xaacded77cdc3deaeULL},
+    {"auction/bidding/open-loop shedding", 0xc7896b2abe2d08beULL},
+    {"auction/bidding/web x2 crash-recover", 0xbe5a69c185513bf1ULL},
+};
+
+/// Compares `actual` with the committed digest of `name` in `expected`,
+/// appending the table line for it to `table`; false on a mismatch.
+bool checkDigest(const std::map<std::string, std::uint64_t>& expected,
+                 const std::string& name, std::uint64_t actual, std::string& table) {
+  char line[160];
+  std::snprintf(line, sizeof line, "    {\"%s\", 0x%016" PRIx64 "ULL},\n", name.c_str(),
+                actual);
+  table += line;
+  const auto it = expected.find(name);
+  if (it != expected.end() && it->second == actual) return true;
+  ADD_FAILURE() << name << ": digest " << std::hex << actual
+                << (it == expected.end() ? " has no committed value"
+                                         : " differs from the committed one");
+  return false;
+}
+
 TEST(GoldenDigestTest, EveryPointMatchesItsCommittedDigest) {
   const std::vector<GoldenPoint> points = goldenPoints();
   std::vector<ExperimentParams> params;
@@ -233,23 +328,24 @@ TEST(GoldenDigestTest, EveryPointMatchesItsCommittedDigest) {
   const std::vector<ExperimentResult> results = runMany(params, opts);
 
   std::string table;
+  std::string metricsTable;
   bool mismatch = points.size() != kExpected.size();
+  std::size_t pinned = 0;
   for (std::size_t i = 0; i < points.size(); ++i) {
-    const std::uint64_t actual = digest(results[i]);
-    char line[160];
-    std::snprintf(line, sizeof line, "    {\"%s\", 0x%016" PRIx64 "ULL},\n",
-                  points[i].name.c_str(), actual);
-    table += line;
-    const auto it = kExpected.find(points[i].name);
-    if (it == kExpected.end() || it->second != actual) {
-      ADD_FAILURE() << points[i].name << ": digest " << std::hex << actual
-                    << (it == kExpected.end() ? " has no committed value"
-                                              : " differs from the committed one");
-      mismatch = true;
-    }
+    mismatch = !checkDigest(kExpected, points[i].name, digest(results[i]), table) || mismatch;
+    if (!points[i].pinMetrics) continue;
+    ++pinned;
+    ASSERT_NE(results[i].metrics, nullptr) << points[i].name;
+    mismatch = !checkDigest(kExpectedMetrics, points[i].name,
+                            metricsDigest(*results[i].metrics), metricsTable) ||
+               mismatch;
   }
   EXPECT_EQ(points.size(), kExpected.size());
-  if (mismatch) ADD_FAILURE() << "actual digests:\n" << table;
+  EXPECT_EQ(pinned, kExpectedMetrics.size());
+  if (mismatch) {
+    ADD_FAILURE() << "actual digests:\n" << table << "actual metrics digests:\n"
+                  << metricsTable;
+  }
 }
 
 }  // namespace

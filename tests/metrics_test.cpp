@@ -1,7 +1,7 @@
 /// Tests for the obs:: metrics layer:
 ///
-///  * instruments and registry semantics (create-or-get, well-known names,
-///    counts that components keep themselves);
+///  * registry semantics (well-known names, counts that components keep
+///    themselves and the registry reads in place);
 ///  * the metrics pump's aligned series, utilization differentiation,
 ///    partial intervals at window edges between ticks, and the stepping
 ///    invariant — runTo in one-second steps dispatches exactly the events
@@ -35,27 +35,6 @@ namespace {
 using sim::kSecond;
 
 // ------------------------------------------------------------- instruments
-
-TEST(MetricsRegistryTest, InstrumentBasics) {
-  obs::MetricsRegistry registry;
-  obs::Counter& c = registry.counter("test.counter");
-  c.add(3);
-  c.add();
-  EXPECT_EQ(c.value(), 4u);
-  EXPECT_EQ(&registry.counter("test.counter"), &c) << "create-or-get identity";
-
-  obs::Gauge& g = registry.gauge("test.gauge");
-  g.set(2.5);
-  g.add(0.5);
-  EXPECT_EQ(g.value(), 3.0);
-  EXPECT_EQ(&registry.gauge("test.gauge"), &g);
-
-  obs::HistogramInstrument& h = registry.histogram("test.hist");
-  h.record(0.010);
-  h.record(0.030);
-  EXPECT_EQ(h.histogram().count(), 2u);
-  EXPECT_EQ(&registry.histogram("test.hist"), &h);
-}
 
 TEST(MetricsRegistryTest, WellKnownCountersAreRegisteredByName) {
   obs::MetricsRegistry registry;
@@ -148,19 +127,28 @@ TEST(MetricsPumpTest, FinishFlushesFinalPartialInterval) {
 TEST(MetricsPumpTest, CountersAndGaugesSnapshotPerTick) {
   sim::Simulation simulation;
   obs::MetricsRegistry registry;
-  obs::Counter& work = registry.counter("work.done");
+  // The count and the level are kept by the simulated process, as a
+  // component keeps its own; the registry only reads them.
+  std::uint64_t work = 0;
+  double level = 0.0;
+  registry.addCounterProbe("work.done", [&work] { return work; });
+  registry.addGaugeProbe("work.level", [&level] { return level; });
   obs::MetricsPump pump(simulation, registry);
-  simulation.spawn([](sim::Simulation& s, obs::Counter& c) -> sim::Task<> {
+  simulation.spawn([](sim::Simulation& s, std::uint64_t& w, double& l) -> sim::Task<> {
     for (int i = 0; i < 5; ++i) {
       co_await s.delay(kSecond);
-      c.add(10);
+      w += 10;
+      l = 0.5 * (i + 1);
     }
-  }(simulation, work));
+  }(simulation, work, level));
   pump.runTo(5 * kSecond);
   pump.finish();
   const obs::MetricsReport report = pump.buildReport(0, 5 * kSecond);
   EXPECT_EQ(report.counterTotal("work.done"), 50u);
   EXPECT_EQ(report.counterDelta("work.done", kSecond, 3 * kSecond), 20u);
+  const obs::MetricsReport::GaugeSeries* gauge = report.findGauge("work.level");
+  ASSERT_NE(gauge, nullptr);
+  EXPECT_EQ(gauge->values, (std::vector<double>{0.0, 0.5, 1.0, 1.5, 2.0, 2.5}));
 }
 
 /// A seeded mix of delays, CPU jobs on one shared processor-sharing CPU
@@ -322,12 +310,8 @@ TEST(MetricsObservationOnlyTest, Fig05ConfigMetricsOnIsByteIdenticalToOff) {
   const auto on = core::runExperiment(p);
   expectIdentical(off, on);
   EXPECT_EQ(off.metrics, nullptr);
-  if (obs::kEnabled) {
-    ASSERT_NE(on.metrics, nullptr);
-    EXPECT_FALSE(on.metrics->times.empty());
-  } else {
-    EXPECT_EQ(on.metrics, nullptr);  // -DMWSIM_METRICS=OFF collects nothing
-  }
+  ASSERT_NE(on.metrics, nullptr);
+  EXPECT_FALSE(on.metrics->times.empty());
 }
 
 TEST(MetricsObservationOnlyTest, Fig11ConfigMetricsOnIsByteIdenticalToOff) {
@@ -340,7 +324,6 @@ TEST(MetricsObservationOnlyTest, Fig11ConfigMetricsOnIsByteIdenticalToOff) {
 }
 
 TEST(MetricsObservationOnlyTest, ParallelSweepMetricsMatchSequential) {
-  if (!obs::kEnabled) GTEST_SKIP() << "metrics compiled out";
   auto base = tinyParams(core::App::Auction);
   base.metrics.enabled = true;
   const std::vector<core::Configuration> configs{core::Configuration::WsPhpDb,
@@ -367,7 +350,6 @@ TEST(MetricsObservationOnlyTest, ParallelSweepMetricsMatchSequential) {
 // ------------------------------------------------------------ Little's law
 
 TEST(MetricsAnalyzerTest, LittlesLawHoldsOnSteadyClosedLoopRun) {
-  if (!obs::kEnabled) GTEST_SKIP() << "metrics compiled out";
   auto p = tinyParams(core::App::Auction);
   p.config = core::Configuration::WsPhpDb;
   p.measure = 30 * kSecond;
@@ -391,7 +373,6 @@ TEST(MetricsAnalyzerTest, LittlesLawHoldsOnSteadyClosedLoopRun) {
 // ---------------------------------------------------------------- verdicts
 
 TEST(MetricsAnalyzerTest, FailoverVerdictFlipsToSurvivorWebCpu) {
-  if (!obs::kEnabled) GTEST_SKIP() << "metrics compiled out";
   // Two web replicas, crash the second one mid-measurement: during the
   // blackout all traffic lands on the surviving "WebServer", whose CPU
   // becomes the window's bottleneck (the auction site is generator-bound).
@@ -436,7 +417,6 @@ TEST(MetricsAnalyzerTest, FailoverVerdictFlipsToSurvivorWebCpu) {
 }
 
 TEST(MetricsAnalyzerTest, FlashCrowdShedNoteExplainsPlateau) {
-  if (!obs::kEnabled) GTEST_SKIP() << "metrics compiled out";
   // Open-loop arrivals far past capacity with a tight admission cap: the
   // verdict's note must attribute the completed-throughput plateau to
   // admission shedding.
@@ -458,7 +438,6 @@ TEST(MetricsAnalyzerTest, FlashCrowdShedNoteExplainsPlateau) {
 }
 
 TEST(MetricsAnalyzerTest, CounterTracksMergeIntoChromeTrace) {
-  if (!obs::kEnabled || !trace::kEnabled) GTEST_SKIP() << "layer compiled out";
   auto p = tinyParams(core::App::Bookstore);
   p.config = core::Configuration::WsServletDbSync;
   p.metrics.enabled = true;
@@ -477,7 +456,6 @@ TEST(MetricsAnalyzerTest, CounterTracksMergeIntoChromeTrace) {
 }
 
 TEST(MetricsAnalyzerTest, MetricsJsonCarriesVerdictAndSeries) {
-  if (!obs::kEnabled) GTEST_SKIP() << "metrics compiled out";
   auto p = tinyParams(core::App::Auction);
   p.config = core::Configuration::WsPhpDb;
   p.metrics.enabled = true;

@@ -21,11 +21,6 @@
 namespace mwsim::core {
 namespace {
 
-/// Everything here observes collected traces, which a -DMWSIM_TRACING=OFF
-/// build can never produce (ExperimentResult::trace stays null).
-#define MWSIM_REQUIRE_TRACING() \
-  if (!trace::kEnabled) GTEST_SKIP() << "built with MWSIM_TRACING=OFF"
-
 ExperimentParams tracedTinyParams(App app, Configuration config) {
   ExperimentParams p;
   p.app = app;
@@ -87,7 +82,6 @@ void expectExactAccounting(const trace::Report& report) {
 }
 
 TEST(TraceTest, ExactAccountingAcrossAllConfigurationsAndApps) {
-  MWSIM_REQUIRE_TRACING();
   for (App app : {App::Bookstore, App::Auction}) {
     for (Configuration config : allConfigurations()) {
       SCOPED_TRACE(std::string(configurationName(config)) + " / " +
@@ -103,7 +97,6 @@ TEST(TraceTest, ExactAccountingAcrossAllConfigurationsAndApps) {
 }
 
 TEST(TraceTest, TiersMatchConfigurationTopology) {
-  MWSIM_REQUIRE_TRACING();
   const auto php = runExperiment(
       tracedTinyParams(App::Bookstore, Configuration::WsPhpDb));
   ASSERT_NE(php.trace, nullptr);
@@ -128,7 +121,6 @@ TEST(TraceTest, TiersMatchConfigurationTopology) {
 }
 
 TEST(TraceTest, LockWaitAttributionMatchesLockingStrategy) {
-  MWSIM_REQUIRE_TRACING();
   // Tiny-scale runs barely contend, so this test loads the database harder:
   // fig05-style client counts on the ordering mix make lock queues certain.
   auto params = tracedTinyParams(App::Bookstore, Configuration::WsServletDb);
@@ -152,7 +144,6 @@ TEST(TraceTest, LockWaitAttributionMatchesLockingStrategy) {
 }
 
 TEST(TraceTest, DisabledTracingLeavesNoReport) {
-  MWSIM_REQUIRE_TRACING();
   auto p = tracedTinyParams(App::Auction, Configuration::WsPhpDb);
   p.trace.enabled = false;
   const auto result = runExperiment(p);
@@ -160,7 +151,6 @@ TEST(TraceTest, DisabledTracingLeavesNoReport) {
 }
 
 TEST(TraceTest, RetentionCapBoundsExportedTraces) {
-  MWSIM_REQUIRE_TRACING();
   auto p = tracedTinyParams(App::Auction, Configuration::WsPhpDb);
   p.trace.maxRetainedTraces = 3;
   const auto result = runExperiment(p);
@@ -170,7 +160,6 @@ TEST(TraceTest, RetentionCapBoundsExportedTraces) {
 }
 
 TEST(TraceTest, ChromeTraceJsonIsStructurallySound) {
-  MWSIM_REQUIRE_TRACING();
   const auto result = runExperiment(
       tracedTinyParams(App::Bookstore, Configuration::WsServletSepDb));
   ASSERT_NE(result.trace, nullptr);
