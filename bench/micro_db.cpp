@@ -12,17 +12,21 @@ namespace {
 
 using namespace mwsim;
 
-struct Fixture {
+/// Every run queries a clone of a populated prototype (core::DatasetCache),
+/// laid out as a copy lays it out, so the fixtures query a clone too.
+db::Database populatedBookstore() {
   db::Database database;
-  db::Executor exec{database};
+  apps::bookstore::Scale scale;
+  scale.scale = 0.02;
+  apps::bookstore::createSchema(database);
+  sim::Rng rng(1);
+  apps::bookstore::populate(database, scale, rng);
+  return database;
+}
 
-  Fixture() {
-    apps::bookstore::Scale scale;
-    scale.scale = 0.02;
-    apps::bookstore::createSchema(database);
-    sim::Rng rng(1);
-    apps::bookstore::populate(database, scale, rng);
-  }
+struct Fixture {
+  db::Database database = populatedBookstore().clone();
+  db::Executor exec{database};
 };
 
 Fixture& fixture() {
@@ -214,23 +218,40 @@ BENCHMARK(BM_PlannedAggregateFastPath);
 // the user and history tables (about 1,600 users per region), the setting
 // every figure bench uses. Each plans once and cycles its parameters.
 
-struct AuctionFixture {
+db::Database populatedAuction() {
   db::Database database;
-  db::Executor exec{database};
+  apps::auction::Scale scale;
+  scale.historyScale = 0.1;
+  apps::auction::createSchema(database);
+  sim::Rng rng(1);
+  apps::auction::populate(database, scale, rng);
+  return database;
+}
 
-  AuctionFixture() {
-    apps::auction::Scale scale;
-    scale.historyScale = 0.1;
-    apps::auction::createSchema(database);
-    sim::Rng rng(1);
-    apps::auction::populate(database, scale, rng);
-  }
+struct AuctionFixture {
+  db::Database prototype = populatedAuction();
+  db::Database database = prototype.clone();
+  db::Executor exec{database};
 };
 
 AuctionFixture& auctionFixture() {
   static AuctionFixture f;
   return f;
 }
+
+void BM_CloneAuctionDataset(benchmark::State& state) {
+  // The copy of the populated prototype that every dataset set-up makes:
+  // rows, tombstones, pk maps and secondary indexes.
+  auto& f = auctionFixture();
+  for (auto _ : state) {
+    db::Database copy = f.prototype.clone();
+    benchmark::DoNotOptimize(&copy);
+    state.PauseTiming();  // freeing the copy is not part of set-up
+    copy = db::Database();
+    state.ResumeTiming();
+  }
+}
+BENCHMARK(BM_CloneAuctionDataset)->Unit(benchmark::kMillisecond);
 
 void BM_PlannedCategoryWindow(benchmark::State& state) {
   // SearchItemsInCategory, second page: an index walk over one category,

@@ -431,70 +431,66 @@ void scanAccess(const AccessPath& a, const Table& table, std::span<const Value> 
       stats.usedIndex = true;
       const MergedRange m = mergeBounds(a, params);
       if (m.empty) return;
-      const auto& index = *table.orderedIndex(a.column);
-      auto it = m.lo ? (m.loInc ? index.lower_bound(*m.lo) : index.upper_bound(*m.lo))
+      const OrderedIndex& index = *table.orderedIndex(a.column);
+      auto it = m.lo ? (m.loInc ? index.lowerBound(*m.lo) : index.upperBound(*m.lo))
                      : index.begin();
-      const auto end = m.hi ? (m.hiInc ? index.upper_bound(*m.hi) : index.lower_bound(*m.hi))
+      const auto end = m.hi ? (m.hiInc ? index.upperBound(*m.hi) : index.lowerBound(*m.hi))
                             : index.end();
       for (; it != end; ++it) {
         count();
         // With no lower bound the scan starts at the NULL entries; the
         // consumed `col <= hi` conjunct rejects them (counted as examined,
         // exactly as the unplanned executor's residual filter did).
-        if (it->first.isNull()) continue;
-        if (!fn(it->second)) return;
+        if (it->key.isNull()) continue;
+        if (!fn(it->id)) return;
       }
       return;
     }
 
     case AccessPath::Kind::OrderedIndexScan: {
       stats.usedIndex = true;
-      const auto& index = *table.orderedIndex(a.column);
+      const OrderedIndex& index = *table.orderedIndex(a.column);
+      // Bounds come from the IndexRange this scan upgraded; without them it
+      // stands in for a full scan (see AccessPath).
       const bool ranged = !a.lower.empty() || !a.upper.empty();
       auto begin = index.begin();
       auto end = index.end();
       if (ranged) {
         const MergedRange m = mergeBounds(a, params);
         if (m.empty) return;
-        begin = m.lo ? (m.loInc ? index.lower_bound(*m.lo) : index.upper_bound(*m.lo))
+        begin = m.lo ? (m.loInc ? index.lowerBound(*m.lo) : index.upperBound(*m.lo))
                      : index.begin();
-        end = m.hi ? (m.hiInc ? index.upper_bound(*m.hi) : index.lower_bound(*m.hi))
+        end = m.hi ? (m.hiInc ? index.upperBound(*m.hi) : index.lowerBound(*m.hi))
                    : index.end();
       }
-      // Emit one equal-key block at a time so ties reproduce the exact
-      // order the eliminated stable_sort produced (see AccessPath).
-      std::vector<RowId> block;
+      // Emit one equal-key block at a time, front to back in either
+      // direction: within a key the index holds RowId order, the tie order
+      // of the stable sort this scan elides. A scan standing in for a full
+      // scan examines each block it starts whole.
       auto emitBlock = [&](auto b, auto e) {
-        if (a.blockRowIdOrder) {
-          block.clear();
-          for (; b != e; ++b) {
+        if (!ranged) {
+          for (auto it = b; it != e; ++it) count();
+        }
+        for (; b != e; ++b) {
+          if (ranged) {
             count();
-            block.push_back(b->second);
+            if (b->key.isNull()) continue;
           }
-          std::sort(block.begin(), block.end());
-          for (RowId id : block) {
-            if (!fn(id)) return false;
-          }
-        } else {
-          for (; b != e; ++b) {
-            count();
-            if (ranged && b->first.isNull()) continue;
-            if (!fn(b->second)) return false;
-          }
+          if (!fn(b->id)) return false;
         }
         return true;
       };
       if (!a.descending) {
         auto it = begin;
         while (it != end) {
-          auto stop = index.upper_bound(it->first);
+          auto stop = index.upperBound(it->key);
           if (!emitBlock(it, stop)) return;
           it = stop;
         }
       } else {
         auto it = end;
         while (it != begin) {
-          auto blockBegin = index.lower_bound(std::prev(it)->first);
+          auto blockBegin = index.lowerBound(std::prev(it)->key);
           if (!emitBlock(blockBegin, it)) return;
           it = blockBegin;
         }
@@ -933,17 +929,17 @@ class SelectExec {
       }
       case AccessPath::AggFastKind::IndexMin: {
         // NULLs sort first in the index and MIN ignores them.
-        const auto* idx = table.orderedIndex(a.aggColumn);
-        const auto it = idx->upper_bound(Value());
-        row.push_back(it == idx->end() ? Value() : it->first);
+        const OrderedIndex& index = *table.orderedIndex(a.aggColumn);
+        const auto it = index.upperBound(Value());
+        row.push_back(it == index.end() ? Value() : it->key);
         stats_.rowsExamined += 1;
         break;
       }
       case AccessPath::AggFastKind::IndexMax: {
         // The largest key is NULL only when every value is NULL — and then
         // MAX is NULL anyway.
-        const auto v = table.indexMax(a.aggColumn);
-        row.push_back(v && !v->isNull() ? *v : Value());
+        const OrderedIndex& index = *table.orderedIndex(a.aggColumn);
+        row.push_back(index.empty() ? Value() : index.back().key);
         stats_.rowsExamined += 1;
         break;
       }

@@ -509,11 +509,9 @@ class Planner {
     if (plan.access.kind == AccessPath::Kind::FullScan) {
       plan.access.kind = AccessPath::Kind::OrderedIndexScan;
       plan.access.column = *col;
-      plan.access.blockRowIdOrder = true;  // full-scan candidate order is RowId order
     } else if (plan.access.kind == AccessPath::Kind::IndexRange &&
                plan.access.column == *col) {
       plan.access.kind = AccessPath::Kind::OrderedIndexScan;
-      plan.access.blockRowIdOrder = false;  // range candidates come in index order
     } else {
       return;
     }

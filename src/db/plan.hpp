@@ -71,13 +71,11 @@ struct AccessPath {
     bool inclusive = true;
   };
   std::vector<Bound> lower, upper;
-  /// OrderedIndexScan: scan direction, and equal-key tie order. A scan that
-  /// replaces FullScan+sort must emit ties in RowId order (what stable_sort
-  /// over storage-order candidates produced); one that replaces
-  /// IndexRange+sort emits ties in raw index order (the candidate order the
-  /// sort was stable over).
+  /// OrderedIndexScan: scan direction. Ties come in index order, which is
+  /// RowId order, the order a stable sort keeps for ties among full-scan
+  /// and index-range candidates alike. The scan keeps the bounds of the
+  /// IndexRange it upgrades; one with no bounds upgrades a FullScan.
   bool descending = false;
-  bool blockRowIdOrder = false;
   /// AggFast details.
   AggFastKind aggFast = AggFastKind::None;
   std::size_t aggColumn = 0;

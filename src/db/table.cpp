@@ -1,13 +1,10 @@
 #include "db/table.hpp"
 
-#include <iterator>
 #include <stdexcept>
 
 namespace mwsim::db {
 
 namespace {
-
-using Index = std::multimap<Value, RowId>;
 
 std::size_t rowBytes(const Row& row) {
   std::size_t n = 0;
@@ -15,45 +12,10 @@ std::size_t rowBytes(const Row& row) {
   return n;
 }
 
-/// Removes row `id`'s entry from `key`'s equal range and returns its rank
-/// there (0 = first).
-std::size_t eraseEntry(Index& index, const Value& key, RowId id) {
-  auto [it, end] = index.equal_range(key);
-  for (std::size_t rank = 0; it != end; ++it, ++rank) {
-    if (it->second == id) {
-      index.erase(it);
-      return rank;
-    }
-  }
-  throw std::logic_error("secondary index has no entry for a live row");
-}
-
-/// Removes row `id`'s entry from `key`'s equal range, searching from the
-/// back: emplace put an inserted or updated row's entry last in its range.
-void eraseNewestEntry(Index& index, const Value& key, RowId id) {
-  auto [lo, it] = index.equal_range(key);
-  while (it != lo) {
-    if ((--it)->second == id) {
-      index.erase(it);
-      return;
-    }
-  }
-  throw std::logic_error("secondary index has no entry for a live row");
-}
-
-/// Inverse of eraseEntry: puts the entry back at `rank` in its equal range.
-void insertEntry(Index& index, const Value& key, RowId id, std::size_t rank) {
-  auto it = index.lower_bound(key);
-  std::advance(it, static_cast<std::ptrdiff_t>(rank));
-  index.emplace_hint(it, key, id);  // lands right before `it`
-}
-
 }  // namespace
 
 Table::Table(TableSchema schema) : schema_(std::move(schema)) {
-  for (std::size_t c : schema_.secondaryIndexes) {
-    secondary_.emplace(c, std::multimap<Value, RowId>{});
-  }
+  for (std::size_t c : schema_.secondaryIndexes) secondary_.try_emplace(c);
 }
 
 void Table::checkpoint() {
@@ -129,12 +91,9 @@ void Table::updateCell(RowId id, std::size_t column, Value v) {
     pkIndex_.erase(row[column]);
     pkIndex_.emplace(v, id);
   }
-  std::size_t rank = 0;
-  auto sec = secondary_.find(column);
-  if (sec != secondary_.end()) {
-    // The entry moves to the end of v's range, even when v equals the old key.
-    rank = eraseEntry(sec->second, row[column], id);
-    sec->second.emplace(v, id);
+  if (auto sec = secondary_.find(column); sec != secondary_.end()) {
+    sec->second.erase(row[column], id);
+    sec->second.insert(v, id);
   }
   approxBytes_ -= row[column].byteSize();
   approxBytes_ += v.byteSize();
@@ -142,57 +101,48 @@ void Table::updateCell(RowId id, std::size_t column, Value v) {
     undo_.push_back({.kind = Undo::Kind::Update,
                      .id = id,
                      .column = column,
-                     .old = std::move(row[column]),
-                     .ranks = {rank}});
+                     .old = std::move(row[column])});
   }
   row[column] = std::move(v);
 }
 
 void Table::erase(RowId id) {
   if (!isLive(id)) return;
-  std::vector<std::size_t> ranks = indexErase(id);
+  indexErase(id);
   approxBytes_ -= rowBytes(rows_[id]);
   tombstone_[id] = true;
   --liveRows_;
-  if (logging_) {
-    undo_.push_back({.kind = Undo::Kind::Erase, .id = id, .ranks = std::move(ranks)});
-  }
+  if (logging_) undo_.push_back({.kind = Undo::Kind::Erase, .id = id});
 }
 
 void Table::indexInsert(RowId id) {
   const Row& row = rows_[id];
   if (schema_.primaryKey) pkIndex_.emplace(row[*schema_.primaryKey], id);
-  for (auto& [col, index] : secondary_) index.emplace(row[col], id);
+  for (auto& [col, index] : secondary_) index.insert(row[col], id);
 }
 
-std::vector<std::size_t> Table::indexErase(RowId id) {
+void Table::indexErase(RowId id) {
   const Row& row = rows_[id];
   if (schema_.primaryKey) pkIndex_.erase(row[*schema_.primaryKey]);
-  std::vector<std::size_t> ranks;
-  ranks.reserve(secondary_.size());
-  for (auto& [col, index] : secondary_) ranks.push_back(eraseEntry(index, row[col], id));
-  return ranks;
+  for (auto& [col, index] : secondary_) index.erase(row[col], id);
 }
 
 // Undo runs newest first, so each entry finds the table exactly as its write
-// left it: an appended or updated entry is still last in its key range, and
-// every rank counts the same neighbours it was taken among.
+// left it. An index entry's place follows from its (key, RowId), so putting
+// the entries back restores every index's order.
 void Table::undo(Undo& u) {
   switch (u.kind) {
     case Undo::Kind::Counters:
       nextAutoId_ = u.nextAutoId;
       lastInsertId_ = u.lastInsertId;
       return;
-    case Undo::Kind::Append: {
-      const Row& row = rows_.back();
-      if (schema_.primaryKey) pkIndex_.erase(row[*schema_.primaryKey]);
-      for (auto& [col, index] : secondary_) eraseNewestEntry(index, row[col], u.id);
-      approxBytes_ -= rowBytes(row);
+    case Undo::Kind::Append:
+      indexErase(u.id);
+      approxBytes_ -= rowBytes(rows_.back());
       rows_.pop_back();
       tombstone_.pop_back();
       --liveRows_;
       return;
-    }
     case Undo::Kind::Update: {
       Value& cell = rows_[u.id][u.column];
       if (isPrimaryKeyColumn(u.column)) {
@@ -200,24 +150,20 @@ void Table::undo(Undo& u) {
         pkIndex_.emplace(u.old, u.id);
       }
       if (auto sec = secondary_.find(u.column); sec != secondary_.end()) {
-        eraseNewestEntry(sec->second, cell, u.id);
-        insertEntry(sec->second, u.old, u.id, u.ranks.front());
+        sec->second.erase(cell, u.id);
+        sec->second.insert(u.old, u.id);
       }
       approxBytes_ -= cell.byteSize();
       approxBytes_ += u.old.byteSize();
       cell = std::move(u.old);
       return;
     }
-    case Undo::Kind::Erase: {
-      const Row& row = rows_[u.id];
-      if (schema_.primaryKey) pkIndex_.emplace(row[*schema_.primaryKey], u.id);
-      std::size_t i = 0;
-      for (auto& [col, index] : secondary_) insertEntry(index, row[col], u.id, u.ranks[i++]);
-      approxBytes_ += rowBytes(row);
+    case Undo::Kind::Erase:
+      indexInsert(u.id);
+      approxBytes_ += rowBytes(rows_[u.id]);
       tombstone_[u.id] = false;
       ++liveRows_;
       return;
-    }
   }
 }
 

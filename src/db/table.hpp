@@ -9,16 +9,17 @@
 #include <unordered_map>
 #include <vector>
 
+#include "db/ordered_index.hpp"
 #include "db/schema.hpp"
 #include "db/value.hpp"
 
 namespace mwsim::db {
 
 using Row = std::vector<Value>;
-using RowId = std::uint32_t;
 
 /// Heap-organized table with a unique hash index on the primary key and
-/// ordered secondary indexes (std::multimap) for range scans.
+/// ordered secondary indexes (OrderedIndex: (key, RowId) order) for range
+/// scans.
 ///
 /// Rows are stored in a stable vector; deletes tombstone the slot. RowIds
 /// are stable for the lifetime of the row.
@@ -43,8 +44,8 @@ class Table {
   /// Undoes every write since checkpoint(), newest first, and keeps
   /// recording. The table is then state-identical to the checkpoint: the
   /// same rows (value types included), tombstones, pk map, auto-increment
-  /// state, and the same order of equal keys in every secondary index.
-  /// Without a checkpoint there is nothing to undo.
+  /// state, and the same entries, in the same order, in every secondary
+  /// index. Without a checkpoint there is nothing to undo.
   void rollback();
 
   const TableSchema& schema() const noexcept { return schema_; }
@@ -64,16 +65,17 @@ class Table {
   /// Looks up by primary key. Returns nullopt if absent.
   std::optional<RowId> findByPk(const Value& key) const;
 
-  /// Visits, in index order, the ids of the rows whose indexed column equals
-  /// `key`, reading the index in place. Stops as soon as `fn` returns false,
-  /// and then returns false. Throws when the column carries no secondary
-  /// index.
+  /// Visits, in index order (which is RowId order within one key), the ids
+  /// of the rows whose indexed column equals `key`, reading the index in
+  /// place. Stops as soon as `fn` returns false, and then returns false.
+  /// Throws when the column carries no secondary index.
   template <typename Fn>
   bool forEachIndexEq(std::size_t column, const Value& key, Fn&& fn) const {
-    const auto* index = orderedIndex(column);
+    const OrderedIndex* index = orderedIndex(column);
     if (index == nullptr) throw std::runtime_error("no index on column");
-    for (auto it = index->lower_bound(key); it != index->end() && it->first == key; ++it) {
-      if (!fn(it->second)) return false;
+    for (auto it = index->lowerBound(key), end = index->end(); it != end && it->key == key;
+         ++it) {
+      if (!fn(it->id)) return false;
     }
     return true;
   }
@@ -86,7 +88,8 @@ class Table {
   const Row& row(RowId id) const { return rows_[id]; }
   bool isLive(RowId id) const { return id < rows_.size() && !tombstone_[id]; }
 
-  /// Updates one column of one row, maintaining indexes.
+  /// Updates one column of one row, maintaining indexes: the row's entry
+  /// takes its RowId's place among the new key's entries.
   void updateCell(RowId id, std::size_t column, Value v);
 
   /// Tombstones a row and removes it from all indexes.
@@ -124,18 +127,10 @@ class Table {
   /// O(1) MAX(pk) fast path, mirroring MySQL's index-based MIN/MAX.
   std::int64_t maxAssignedId() const noexcept { return nextAutoId_ - 1; }
 
-  /// Largest value in a secondary index (nullopt when empty or no index
-  /// exists on the column).
-  std::optional<Value> indexMax(std::size_t column) const {
-    auto it = secondary_.find(column);
-    if (it == secondary_.end() || it->second.empty()) return std::nullopt;
-    return it->second.rbegin()->first;
-  }
-
-  /// Direct read access to a secondary index's ordered entries, for
-  /// ordered-index scans (ORDER BY without a sort). Null when the column
+  /// Direct read access to a secondary index's ordered entries, for range
+  /// and ordered-index scans and indexed MIN/MAX. Null when the column
   /// carries no index.
-  const std::multimap<Value, RowId>* orderedIndex(std::size_t column) const {
+  const OrderedIndex* orderedIndex(std::size_t column) const {
     auto it = secondary_.find(column);
     return it == secondary_.end() ? nullptr : &it->second;
   }
@@ -157,14 +152,10 @@ class Table {
     Value old{};
     std::int64_t nextAutoId = 0;
     std::int64_t lastInsertId = 0;
-    /// The row's position in its equal-key range: for Update in the
-    /// column's index (if it has one), for Erase in every secondary index.
-    std::vector<std::size_t> ranks{};
   };
 
   void indexInsert(RowId id);
-  /// Removes the row's index entries; returns each secondary entry's rank.
-  std::vector<std::size_t> indexErase(RowId id);
+  void indexErase(RowId id);
   void undo(Undo& u);
 
   TableSchema schema_;
@@ -174,8 +165,8 @@ class Table {
   std::size_t approxBytes_ = 0;
 
   std::unordered_map<Value, RowId, ValueHash> pkIndex_;
-  // column index -> ordered multimap value -> row id
-  std::map<std::size_t, std::multimap<Value, RowId>> secondary_;
+  // column index -> its secondary index
+  std::map<std::size_t, OrderedIndex> secondary_;
   std::int64_t nextAutoId_ = 1;
   std::int64_t lastInsertId_ = 0;
 

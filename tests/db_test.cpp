@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <optional>
 #include <random>
 #include <stdexcept>
@@ -174,12 +175,12 @@ void expectSameTable(const Table& a, const Table& b) {
     }
   }
   for (const std::size_t c : a.schema().secondaryIndexes) {
-    const auto& ia = *a.orderedIndex(c);
-    const auto& ib = *b.orderedIndex(c);
+    const OrderedIndex& ia = *a.orderedIndex(c);
+    const OrderedIndex& ib = *b.orderedIndex(c);
     ASSERT_EQ(ia.size(), ib.size()) << "index on column " << c;
     for (auto x = ia.begin(), y = ib.begin(); x != ia.end(); ++x, ++y) {
-      ASSERT_TRUE(sameValue(x->first, y->first) && x->second == y->second)
-          << "index on column " << c << " differs at key " << x->first.toDisplayString();
+      ASSERT_TRUE(sameValue(x->key, y->key) && x->id == y->id)
+          << "index on column " << c << " differs at key " << x->key.toDisplayString();
     }
   }
   const std::size_t pk = *a.schema().primaryKey;
@@ -199,7 +200,7 @@ void expectSameTable(const Table& a, const Table& b) {
 }
 
 /// Auto-increment pk, an int and a string secondary index with long
-/// equal-key ranges, tombstones, and one range out of RowId order.
+/// equal-key ranges, tombstones, and one row moved to another key.
 Database rollbackPrototype() {
   Database db;
   Table& t = db.createTable(SchemaBuilder("t")
@@ -254,8 +255,8 @@ std::vector<std::int64_t> applyWrites(Database& db, std::uint64_t seed) {
   const std::int64_t added = t.insert({Value(), Value(1), tag(), Value(1.5)});
   out.push_back(added);
   t.erase(*t.findByPk(Value(added)));
-  // Set indexed columns to their current values: the entries move to the
-  // ends of their key ranges.
+  // Set indexed columns to their current values: the entries are taken out
+  // and put back.
   const RowId same = *liveRow();
   t.updateCell(same, 1, t.row(same)[1]);
   t.updateCell(same, 2, t.row(same)[2]);
@@ -330,6 +331,134 @@ std::vector<std::int64_t> applyWrites(Database& db, std::uint64_t seed) {
     }
   }
   return out;
+}
+
+TEST(TableTest, EqualKeysIterateInRowIdOrder) {
+  const auto load = [](Table& t) {
+    t.insert({Value(1), Value("a"), Value(5), Value(1.0), Value(1)});
+    for (int i = 2; i <= 4; ++i) t.insert({Value(i), Value("b"), Value(7), Value(1.0), Value(1)});
+  };
+  Table t(itemsSchema());
+  load(t);
+  t.checkpoint();
+  // Row 0 joins the key that holds rows 1-3 at its RowId's place, not last.
+  t.updateCell(0, 2, Value(7));
+  EXPECT_EQ(indexHits(t, 2, Value(7)), (std::vector<RowId>{0, 1, 2, 3}));
+  EXPECT_TRUE(indexHits(t, 2, Value(5)).empty());
+  t.rollback();
+  Table fresh(itemsSchema());
+  load(fresh);
+  expectSameTable(t, fresh);
+  EXPECT_EQ(indexHits(t, 2, Value(7)), (std::vector<RowId>{1, 2, 3}));
+
+  // An int 1 and a double 1.0 share a key, in RowId order, and each entry
+  // keeps its own type, also when an update changes only the type.
+  Table mixed(itemsSchema());
+  mixed.insert({Value(1), Value("x"), Value(1.0), Value(1.0), Value(1)});
+  mixed.insert({Value(2), Value("y"), Value(1), Value(1.0), Value(1)});
+  mixed.insert({Value(3), Value("z"), Value(1.0), Value(1.0), Value(1)});
+  mixed.updateCell(1, 2, Value(1.0));
+  mixed.updateCell(2, 2, Value(1));
+  std::vector<RowId> ids;
+  std::vector<bool> isInt;
+  for (const IndexEntry& e : *mixed.orderedIndex(2)) {
+    ids.push_back(e.id);
+    isInt.push_back(e.key.isInt());
+  }
+  EXPECT_EQ(ids, (std::vector<RowId>{0, 1, 2}));
+  EXPECT_EQ(isInt, (std::vector<bool>{false, false, true}));
+  EXPECT_EQ(indexHits(mixed, 2, Value(1)), ids);
+}
+
+/// Every entry of `index`, walked both ways, and both bounds of every key
+/// near the ones the test below uses, against `expected` in index order.
+void expectIndexHolds(const OrderedIndex& index, const std::vector<IndexEntry>& expected) {
+  const auto position = [&](OrderedIndex::Iterator it) {
+    return static_cast<std::size_t>(std::distance(index.begin(), it));
+  };
+  ASSERT_EQ(index.size(), expected.size());
+  ASSERT_EQ(index.empty(), expected.empty());
+  std::size_t i = 0;
+  for (const IndexEntry& e : index) {
+    ASSERT_TRUE(sameValue(e.key, expected[i].key) && e.id == expected[i].id) << "entry " << i;
+    ++i;
+  }
+  ASSERT_EQ(i, expected.size());
+  auto it = index.end();
+  for (std::size_t j = expected.size(); j-- > 0;) {
+    ASSERT_EQ((--it)->id, expected[j].id);
+  }
+  if (!expected.empty()) {
+    EXPECT_EQ(index.back().id, expected.back().id);
+  }
+  const auto keyLess = [](const IndexEntry& e, const Value& key) { return e.key < key; };
+  const auto lessKey = [](const Value& key, const IndexEntry& e) { return key < e.key; };
+  for (std::int64_t k = -1; k <= 41; ++k) {
+    for (const Value& key : {Value(k), Value(static_cast<double>(k) + 0.5), Value()}) {
+      const auto lo = std::lower_bound(expected.begin(), expected.end(), key, keyLess);
+      const auto hi = std::upper_bound(expected.begin(), expected.end(), key, lessKey);
+      EXPECT_EQ(position(index.lowerBound(key)), lo - expected.begin());
+      EXPECT_EQ(position(index.upperBound(key)), hi - expected.begin());
+    }
+  }
+}
+
+TEST(OrderedIndexTest, MatchesASortedListAcrossLeaves) {
+  const auto entryLess = [](const IndexEntry& a, const IndexEntry& b) {
+    const int c = a.key.compare(b.key);
+    return c < 0 || (c == 0 && a.id < b.id);
+  };
+  std::mt19937_64 rng(7);
+  const auto randomKey = [&]() -> Value {
+    const auto k = static_cast<std::int64_t>(rng() % 40);
+    switch (rng() % 8) {
+      case 0: return Value();
+      case 1: return Value(static_cast<double>(k));  // equals the int k
+      case 2: return Value(static_cast<double>(k) + 0.5);
+      default: return Value(k);
+    }
+  };
+  OrderedIndex written;
+  std::vector<IndexEntry> expected;
+  // Checks the index as written and a copy of it, whose leaves are rebuilt.
+  const auto expectSame = [&] {
+    expectIndexHolds(written, expected);
+    expectIndexHolds(OrderedIndex(written), expected);
+  };
+
+  // Random keys in random RowId order split leaves in the middle.
+  std::vector<RowId> ids(3000);
+  for (RowId id = 0; id < ids.size(); ++id) ids[id] = id;
+  std::shuffle(ids.begin(), ids.end(), rng);
+  for (const RowId id : ids) {
+    const Value key = randomKey();
+    written.insert(key, id);
+    expected.push_back({key, id});
+  }
+  std::sort(expected.begin(), expected.end(), entryLess);
+  expectSame();
+  // Appending past the last entry opens new leaves.
+  for (RowId id = 3000; id < 3600; ++id) {
+    const IndexEntry e{Value(1000), id};
+    written.insert(e.key, e.id);
+    expected.push_back(e);
+  }
+  expectSame();
+  // Erasing empties whole leaves, and a missing entry throws.
+  std::vector<IndexEntry> gone = expected;
+  std::shuffle(gone.begin(), gone.end(), rng);
+  gone.resize(3300);
+  for (const IndexEntry& e : gone) {
+    written.erase(e.key, e.id);
+    expected.erase(std::lower_bound(expected.begin(), expected.end(), e, entryLess));
+  }
+  expectSame();
+  EXPECT_THROW(written.erase(gone.front().key, gone.front().id), std::logic_error);
+  EXPECT_THROW(written.erase(expected.front().key, expected.front().id + 5000), std::logic_error);
+  for (const IndexEntry& e : std::vector<IndexEntry>(expected)) written.erase(e.key, e.id);
+  expected.clear();
+  expectSame();
+  EXPECT_EQ(written.lowerBound(Value(1)), written.end());
 }
 
 TEST(RollbackTest, RestoresEveryObservableOfTheCheckpoint) {
@@ -1052,7 +1181,6 @@ class WindowTest : public ::testing::Test {
                               Value("r" + std::to_string(i))};
       exec_.query("INSERT INTO w (k, j, g, s) VALUES (?, ?, ?, ?)", params);
     }
-    exec_.query("UPDATE w SET g = 1 WHERE id IN (3, 9, 15, 21)");
     exec_.query("UPDATE w SET g = 1 WHERE id IN (4, 10)");
   }
 
@@ -1097,15 +1225,24 @@ TEST_F(WindowTest, WindowsInsideEqualKeysMatchAStableSortOfAScan) {
 }
 
 TEST_F(WindowTest, WindowsInsideEqualKeysMatchAStableSortOfAnIndexWalk) {
-  // Without ORDER BY the g = 1 walk streams its candidates in index order,
-  // which the moved rows put out of RowId order; ties keep that order.
-  const std::string select = "SELECT id, k, j FROM w WHERE g = 1";
-  const auto probe = exec_.query(select).resultSet;
-  ASSERT_EQ(probe.rowCount(), 22u);
-  EXPECT_EQ(probe.intAt(16, "id"), 3);  // the first moved row
-  expectStableWindows(select, "k", kAsc);
-  expectStableWindows(select, "k DESC", kDesc);
-  expectStableWindows(select, "k DESC, j", kDescJAsc);
+  // Without ORDER BY an index walk streams its candidates out of RowId
+  // order: an IN list key by key in list order, a range in value order.
+  // Ties keep that order. The 22 g = 1 rows are ids 4, 10 and the odd ones.
+  const struct {
+    const char* select;
+    std::size_t id1At, id2At;  // positions of the first g = 1 and g = 0 rows
+  } walks[] = {{"SELECT id, k, j FROM w WHERE g IN (1, 0)", 0, 22},
+               {"SELECT id, k, j FROM w WHERE g >= 0", 18, 0}};
+  for (const auto& walk : walks) {
+    const std::string select = walk.select;
+    const auto probe = exec_.query(select).resultSet;
+    ASSERT_EQ(probe.rowCount(), 40u) << select;
+    EXPECT_EQ(probe.intAt(walk.id1At, "id"), 1) << select;
+    EXPECT_EQ(probe.intAt(walk.id2At, "id"), 2) << select;
+    expectStableWindows(select, "k", kAsc);
+    expectStableWindows(select, "k DESC", kDesc);
+    expectStableWindows(select, "k DESC, j", kDescJAsc);
+  }
 }
 
 TEST_F(WindowTest, EveryCandidateCountsAsSorted) {
@@ -1139,6 +1276,27 @@ TEST_F(WindowTest, EveryCandidateCountsAsSorted) {
   // The rows examined do not depend on the window.
   EXPECT_EQ(exec_.query("SELECT id FROM w ORDER BY k LIMIT 0").stats.rowsExamined,
             exec_.query("SELECT id FROM w ORDER BY k").stats.rowsExamined);
+}
+
+TEST_F(WindowTest, ElidedSortExaminesEveryRowOfTheBlocksItStarts) {
+  // Without bounds the index walk stands in for a full scan and its sort,
+  // and examines each equal-key block it starts whole (18 rows hold g = 0,
+  // 22 hold g = 1). Within bounds it examines only the rows it reaches.
+  const struct {
+    const char* sql;
+    std::uint64_t examined;
+  } cases[] = {
+      {"SELECT id FROM w ORDER BY g LIMIT 1", 18},
+      {"SELECT id FROM w ORDER BY g LIMIT 19", 40},
+      {"SELECT id FROM w ORDER BY g DESC LIMIT 1", 22},
+      {"SELECT id FROM w WHERE g >= 0 ORDER BY g LIMIT 1", 1},
+      {"SELECT id FROM w WHERE g >= 0 ORDER BY g DESC LIMIT 1", 1},
+  };
+  for (const auto& c : cases) {
+    const auto r = exec_.query(c.sql);
+    EXPECT_EQ(r.stats.rowsSorted, 0u) << c.sql;
+    EXPECT_EQ(r.stats.rowsExamined, c.examined) << c.sql;
+  }
 }
 
 TEST_F(WindowTest, SelectListIsEvaluatedOnlyForTheWindow) {

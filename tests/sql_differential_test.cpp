@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <map>
 #include <optional>
 #include <random>
@@ -618,19 +619,12 @@ struct World {
   db::Executor exec{opt};
   std::size_t nTables = 1;
   bool aIdx = false, bIdx = false, sIdx = false;
-  /// When true, indexed columns are never updated, so secondary-index entry
-  /// order provably equals row order and ordering-sensitive comparisons
-  /// (bare LIMIT, single-key ORDER BY) stay exact. When false, UPDATE may
-  /// rewrite indexed columns and ordering-sensitive queries downgrade to
-  /// multiset comparison or pk-total orderings.
-  bool frozenIndexes = true;
 
   explicit World(Rand& rng) {
     nTables = 1 + pick(rng, 3);
     aIdx = chance(rng, 50);
     bIdx = chance(rng, 50);
     sIdx = chance(rng, 40);
-    frozenIndexes = chance(rng, 50);
     for (std::size_t t = 0; t < nTables; ++t) {
       auto makeSchema = [&] {
         db::SchemaBuilder sb("t" + std::to_string(t));
@@ -842,8 +836,10 @@ GenCase genSelect(Rand& rng, const World& w) {
   bool orderSensitive = false;
   g.sql += whereClause(rng, w, g.params, &orderSensitive);
 
-  // Ordering / limit decision tree (see World::frozenIndexes).
-  const bool canExactWithoutTotalOrder = w.frozenIndexes && !orderSensitive;
+  // Ordering / limit decision tree. Within one key an index holds RowId
+  // order, so an equality walk, and a sort elided onto an index, yield ties
+  // in full-scan order; only IN lists and ranges reorder candidates.
+  const bool canExactWithoutTotalOrder = !orderSensitive;
   if (distinct) {
     if (chance(rng, 40)) {
       // ORDER BY every selected column: total over distinct rows.
@@ -1061,14 +1057,9 @@ GenCase genUpdate(Rand& rng, const World& w) {
   GenCase g;
   g.isWrite = true;
   g.writeTable = "t" + std::to_string(pick(rng, w.nTables));
-  std::vector<std::string> settable;
-  for (const char* c : kDataCols) {
-    if (w.frozenIndexes && w.columnIndexed(c)) continue;  // see World
-    settable.push_back(c);
-  }
-  if (settable.empty()) settable.push_back("d");
+  std::vector<std::string> settable(std::begin(kDataCols), std::end(kDataCols));
   g.sql = "UPDATE " + g.writeTable + " SET ";
-  const std::size_t nSets = 1 + pick(rng, std::min<std::size_t>(2, settable.size()));
+  const std::size_t nSets = 1 + pick(rng, 2);
   std::shuffle(settable.begin(), settable.end(), rng);
   for (std::size_t i = 0; i < nSets; ++i) {
     if (i) g.sql += ", ";
