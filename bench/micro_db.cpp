@@ -288,6 +288,24 @@ void BM_PlannedRegionJoin(benchmark::State& state) {
 }
 BENCHMARK(BM_PlannedRegionJoin);
 
+void BM_PlannedUnsortedIndexJoin(benchmark::State& state) {
+  // An index join whose outer keys come out of order: one category's items
+  // (about 825, in RowId order), each joined by index to its seller's items.
+  // Sellers are drawn at random, so about half the probes meet a key smaller
+  // than the one before and descend from the fences.
+  auto& f = auctionFixture();
+  const db::PlannedStatement stmt(db::parseSql(
+      "SELECT i.i_id FROM items o JOIN items i ON i.i_seller = o.i_seller "
+      "WHERE o.i_category = ? ORDER BY i.i_end_date LIMIT 25"));
+  std::int64_t category = 0;
+  for (auto _ : state) {
+    const db::Value params[] = {db::Value(category + 1)};
+    benchmark::DoNotOptimize(f.exec.execute(stmt, params));
+    category = (category + 1) % 40;
+  }
+}
+BENCHMARK(BM_PlannedUnsortedIndexJoin);
+
 void BM_PlannedLikeWindow(benchmark::State& state) {
   // The bulletin board's search shape (`s_title LIKE ? ORDER BY s_date DESC
   // LIMIT 25`) over the item names. The board's s_date is indexed, so its

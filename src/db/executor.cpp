@@ -649,54 +649,72 @@ class SelectExec {
       std::vector<RowId> next;
       const std::size_t n = flat.size() / stride;
       Value scratch;
-      for (std::size_t b = 0; b < n; ++b) {
+      auto outerKey = [&](std::size_t b) -> const Value& {
+        return evalRef(*step.outerKey, params_, FlatRow{&tables_, flat.data() + b * stride},
+                       scratch);
+      };
+      auto examine = [&] {
+        ++stats_.rowsExamined;
+        stats_.bytesExamined += innerBytes;
+      };
+      auto extend = [&](std::size_t b, RowId id) {
         const RowId* ids = flat.data() + b * stride;
-        const FlatRow outer{&tables_, ids};
-        auto extend = [&](RowId id) {
-          next.insert(next.end(), ids, ids + stride);
-          next.push_back(id);
-        };
-        switch (step.kind) {
-          case SelectPlan::JoinStep::Kind::PkLookup: {
-            stats_.usedIndex = true;
-            const Value& key = evalRef(*step.outerKey, params_, outer, scratch);
-            if (key.isNull()) break;  // NULL never joins
+        next.insert(next.end(), ids, ids + stride);
+        next.push_back(id);
+      };
+      switch (step.kind) {
+        case SelectPlan::JoinStep::Kind::PkLookup:
+          if (n > 0) stats_.usedIndex = true;
+          for (std::size_t b = 0; b < n; ++b) {
+            const Value& key = outerKey(b);
+            if (key.isNull()) continue;  // NULL never joins
             if (auto id = inner.findByPk(key)) {
-              ++stats_.rowsExamined;
-              stats_.bytesExamined += innerBytes;
-              extend(*id);
+              examine();
+              extend(b, *id);
             }
-            break;
           }
-          case SelectPlan::JoinStep::Kind::IndexLookup: {
-            stats_.usedIndex = true;
-            const Value& key = evalRef(*step.outerKey, params_, outer, scratch);
-            if (key.isNull()) break;
-            inner.forEachIndexEq(step.innerColumn, key, [&](RowId id) {
-              ++stats_.rowsExamined;
-              stats_.bytesExamined += innerBytes;
-              extend(id);
-              return true;
-            });
-            break;
+          break;
+        case SelectPlan::JoinStep::Kind::IndexLookup: {
+          if (n > 0) stats_.usedIndex = true;
+          // Every outer key first, copied out of its row, so that the probes
+          // read only the keys and the index. The keys mostly ascend (the
+          // outer rows arrive in RowId order, and keys are mostly assigned
+          // in it), so each probe searches forward from where the one
+          // before it landed; a smaller key descends from the fences.
+          std::vector<Value> keys;
+          keys.reserve(n);
+          for (std::size_t b = 0; b < n; ++b) keys.push_back(outerKey(b));
+          const OrderedIndex& index = *inner.orderedIndex(step.innerColumn);
+          const auto end = index.end();
+          auto hint = index.begin();
+          for (std::size_t b = 0; b < n; ++b) {
+            const Value& key = keys[b];
+            if (key.isNull()) continue;
+            hint = index.lowerBound(key, hint);
+            for (auto it = hint; it != end && it->key == key; ++it) {
+              examine();
+              extend(b, it->id);
+            }
           }
-          case SelectPlan::JoinStep::Kind::ScanEq: {
-            const Value& key = evalRef(*step.outerKey, params_, outer, scratch);
-            inner.forEachRow([&](RowId id) {
-              ++stats_.rowsExamined;
-              stats_.bytesExamined += innerBytes;
-              if (!key.isNull() && inner.row(id)[step.innerColumn] == key) extend(id);
-            });
-            break;
-          }
-          case SelectPlan::JoinStep::Kind::Cross:
-            inner.forEachRow([&](RowId id) {
-              ++stats_.rowsExamined;
-              stats_.bytesExamined += innerBytes;
-              extend(id);
-            });
-            break;
+          break;
         }
+        case SelectPlan::JoinStep::Kind::ScanEq:
+          for (std::size_t b = 0; b < n; ++b) {
+            const Value& key = outerKey(b);
+            inner.forEachRow([&](RowId id) {
+              examine();
+              if (!key.isNull() && inner.row(id)[step.innerColumn] == key) extend(b, id);
+            });
+          }
+          break;
+        case SelectPlan::JoinStep::Kind::Cross:
+          for (std::size_t b = 0; b < n; ++b) {
+            inner.forEachRow([&](RowId id) {
+              examine();
+              extend(b, id);
+            });
+          }
+          break;
       }
       flat = std::move(next);
       ++stride;

@@ -26,6 +26,20 @@ std::size_t partitionPoint(const OrderedIndex::Leaf& leaf, Before before) {
   return static_cast<std::size_t>(it - leaf.order.begin());
 }
 
+/// The first element of [first, last) for which `pred` is false, where
+/// `pred` holds for a prefix: std::partition_point, but probing forward
+/// from `first` at distances that double, so an answer d places on costs
+/// O(log d) comparisons.
+template <typename It, typename Pred>
+It gallop(It first, It last, Pred pred) {
+  std::ptrdiff_t step = 1;
+  while (last - first >= step && pred(first[step - 1])) {
+    first += step;
+    step *= 2;
+  }
+  return std::partition_point(first, first + std::min(step, last - first), pred);
+}
+
 /// Whether (key, id) orders after entry `e`: the predicate that finds the
 /// entry's place.
 auto entryBefore(const Value& key, RowId id) {
@@ -67,6 +81,29 @@ OrderedIndex::Iterator OrderedIndex::seek(Before before) const {
 
 OrderedIndex::Iterator OrderedIndex::lowerBound(const Value& key) const {
   return seek([&key](const IndexEntry& e) { return e.key.compare(key) < 0; });
+}
+
+OrderedIndex::Iterator OrderedIndex::lowerBound(const Value& key, Iterator hint) const {
+  const auto before = [&key](const IndexEntry& e) { return e.key.compare(key) < 0; };
+  std::size_t leaf = hint.leaf_;
+  // The answer lies at or after the hint only when the entry before the
+  // hint orders before `key`; a leaf's fence is its last entry.
+  const bool forward = hint.pos_ > 0 ? before(leaves_[leaf].at(hint.pos_ - 1))
+                                     : leaf == 0 || before(fences_[leaf - 1]);
+  if (!forward) return lowerBound(key);
+  if (leaf == leaves_.size()) return end();
+  if (!before(fences_[leaf])) {
+    const Leaf& l = leaves_[leaf];
+    const auto pos = gallop(l.order.begin() + static_cast<std::ptrdiff_t>(hint.pos_),
+                            l.order.end(),
+                            [&](std::uint16_t at) { return before(l.entries[at]); });
+    return {&leaves_, leaf, static_cast<std::size_t>(pos - l.order.begin())};
+  }
+  leaf = static_cast<std::size_t>(
+      gallop(fences_.begin() + static_cast<std::ptrdiff_t>(leaf) + 1, fences_.end(), before) -
+      fences_.begin());
+  if (leaf == leaves_.size()) return end();
+  return {&leaves_, leaf, partitionPoint(leaves_[leaf], before)};
 }
 
 OrderedIndex::Iterator OrderedIndex::upperBound(const Value& key) const {

@@ -94,6 +94,14 @@ class OrderedIndex {
 
   /// The first entry whose key is not less than `key`.
   Iterator lowerBound(const Value& key) const;
+  /// lowerBound(key), searched forward from `hint` (an iterator of this
+  /// index) when the entry before `hint` orders before `key`, in steps that
+  /// double: first inside the hint's leaf, then over the fences. Otherwise
+  /// it descends as lowerBound(key) does, so a hint past the answer costs
+  /// one comparison more and never gives a wrong position. Probes for keys
+  /// that ascend, each hinted with the previous answer, cost
+  /// O(log distance) each instead of a descent.
+  Iterator lowerBound(const Value& key, Iterator hint) const;
   /// The first entry whose key is greater than `key`.
   Iterator upperBound(const Value& key) const;
 

@@ -461,6 +461,170 @@ TEST(OrderedIndexTest, MatchesASortedListAcrossLeaves) {
   EXPECT_EQ(written.lowerBound(Value(1)), written.end());
 }
 
+/// lowerBound(key, hint) against lowerBound(key), for every key and every
+/// hint from begin() to end(): before, at and after the answer.
+void expectHintsAgree(const OrderedIndex& index, const std::vector<Value>& keys) {
+  for (const Value& key : keys) {
+    const auto answer = index.lowerBound(key);
+    std::size_t at = 0;
+    for (auto hint = index.begin();; ++hint, ++at) {
+      if (!(index.lowerBound(key, hint) == answer)) {
+        ADD_FAILURE() << "key " << key.toDisplayString() << ", hint at position " << at;
+        return;
+      }
+      if (hint == index.end()) break;
+    }
+  }
+}
+
+TEST(OrderedIndexTest, HintedLowerBoundMatchesLowerBoundFromEveryHint) {
+  std::vector<Value> keys = {Value(), Value(1.0), Value(0.5), Value(300.5), Value(""),
+                             Value("a"), Value("ab"), Value("b"), Value("bb"), Value("c")};
+  for (int k = -1; k <= 702; ++k) keys.emplace_back(k);
+
+  // Entries loaded in index order fill each leaf, so the leaves are
+  // positions 0-255, 256-511 and 512-531.
+  OrderedIndex loaded;
+  RowId id = 0;
+  const auto add = [&](const Value& key, int copies) {
+    for (int i = 0; i < copies; ++i) loaded.insert(key, id++);
+  };
+  add(Value(), 3);
+  add(Value(1), 2);
+  add(Value(1.0), 2);  // the same key as the int 1
+  for (int k = 2; k <= 240; k += 2) add(Value(k), 1);
+  add(Value(300), 300);  // positions 127-426: a run across the first leaf boundary
+  // Positions 427-526; 638 ends the second leaf and 642 opens the third, so
+  // 639-641 fall between leaves.
+  for (int k = 302; k <= 698; k += 4) add(Value(k), 1);
+  add(Value("a"), 1);
+  add(Value("b"), 3);
+  add(Value("bb"), 1);
+  ASSERT_EQ(loaded.size(), 532u);
+  expectHintsAgree(loaded, keys);
+
+  // Random keys in random RowId order split leaves in the middle, leaving
+  // leaves of every size.
+  std::mt19937_64 rng(11);
+  OrderedIndex split;
+  std::vector<RowId> ids(1500);
+  for (RowId r = 0; r < ids.size(); ++r) ids[r] = r;
+  std::shuffle(ids.begin(), ids.end(), rng);
+  for (const RowId r : ids) {
+    const auto k = static_cast<std::int64_t>(rng() % 60);
+    split.insert(rng() % 5 == 0 ? Value(static_cast<double>(k)) : Value(k), r);
+  }
+  expectHintsAgree(split, keys);
+
+  expectHintsAgree(OrderedIndex(), {Value(), Value(1), Value("a")});
+}
+
+// --------------------------------------------------------------- index joins
+
+/// An `IndexLookup` join step over outer keys that ascend, descend, repeat,
+/// are NULL or are doubles, into an inner index whose key 7 holds more rows
+/// than a leaf; a second step probes with keys that come out of order.
+class IndexJoinTest : public ::testing::Test {
+ protected:
+  IndexJoinTest() : exec_(db_) {
+    Table& o = db_.createTable(SchemaBuilder("o").intCol("id").primaryKey().intCol("k").build());
+    Table& i = db_.createTable(SchemaBuilder("i")
+                                   .intCol("id").primaryKey()
+                                   .intCol("k").indexed()
+                                   .intCol("v")
+                                   .build());
+    Table& p = db_.createTable(
+        SchemaBuilder("p").intCol("id").primaryKey().intCol("k").indexed().build());
+    // In RowId order: ascending, descending, repeated, NULL and absent keys,
+    // and doubles (2.0 and 7.0 equal ints; 4.5 falls between keys).
+    const Value outerKeys[] = {1, 2, 4, 7, 9, 9, 7, 4, 2, 1, Value(), 4, 4, 12, -3,
+                               Value(), 7, 1, Value(2.0), Value(7.0), Value(4.5)};
+    std::int64_t n = 0;
+    for (const Value& key : outerKeys) o.insert({Value(n++), key});
+    // Key 7 takes three rows in four, so its RowIds interleave with the
+    // other keys'.
+    const Value others[] = {1, 2, Value(2.0), 4, Value(4.5), 9, Value(), 11};
+    for (n = 0; n < 400; ++n) {
+      const Value key = n % 4 == 0 ? others[(n / 4) % 8] : Value(7);
+      i.insert({Value(1000 + n), key, Value((n * 7) % 11)});
+    }
+    for (n = 0; n < 30; ++n) {
+      p.insert({Value(5000 + n), n % 10 == 9 ? Value() : Value((n * 3) % 10)});
+    }
+  }
+
+  /// The next bindings a per-key forEachIndexEq loop gives, in outer
+  /// binding order, probing `inner`'s index on `column` with the key
+  /// `keyOf(binding)`; counts the inner rows it examines.
+  template <typename KeyOf>
+  std::vector<std::vector<RowId>> nestedLoop(const std::vector<std::vector<RowId>>& outer,
+                                             const Table& inner, std::size_t column,
+                                             KeyOf keyOf, std::uint64_t& examined) {
+    std::vector<std::vector<RowId>> next;
+    for (const auto& binding : outer) {
+      const Value& key = keyOf(binding);
+      if (key.isNull()) continue;
+      inner.forEachIndexEq(column, key, [&](RowId id) {
+        ++examined;
+        next.push_back(binding);
+        next.back().push_back(id);
+        return true;
+      });
+    }
+    return next;
+  }
+
+  std::vector<Row> idsOf(const std::vector<std::vector<RowId>>& bindings) {
+    const Table* tables[] = {&db_.table("o"), &db_.table("i"), &db_.table("p")};
+    std::vector<Row> rows;
+    for (const auto& binding : bindings) {
+      Row row;
+      for (std::size_t t = 0; t < binding.size(); ++t) row.push_back(tables[t]->row(binding[t])[0]);
+      rows.push_back(std::move(row));
+    }
+    return rows;
+  }
+
+  Database db_;
+  Executor exec_;
+};
+
+TEST_F(IndexJoinTest, ProbesYieldOuterBindingOrderAndChargeEachEntry) {
+  const Table& o = db_.table("o");
+  const Table& i = db_.table("i");
+  const Table& p = db_.table("p");
+  std::vector<std::vector<RowId>> base;
+  o.forEachRow([&](RowId id) { base.push_back({id}); });
+  std::uint64_t hits = 0;
+  const auto two = nestedLoop(
+      base, i, 1, [&](const std::vector<RowId>& b) -> const Value& { return o.row(b[0])[1]; },
+      hits);
+  // Three 7s and a 7.0 each join all 300 rows of key 7.
+  ASSERT_GT(two.size(), 4u * 300u);
+
+  const auto joined = exec_.query("SELECT o.id, i.id FROM o JOIN i ON i.k = o.k");
+  EXPECT_EQ(joined.resultSet.rows, idsOf(two));
+  EXPECT_EQ(joined.stats.rowsExamined, o.size() + hits);
+  EXPECT_EQ(joined.stats.bytesExamined, o.size() * o.avgRowBytes() + hits * i.avgRowBytes());
+  EXPECT_TRUE(joined.stats.usedIndex);
+
+  // The second step's keys, i.v along the first step's bindings, do not
+  // ascend, so its probes fall back to descents.
+  std::vector<Value> secondKeys;
+  for (const auto& b : two) secondKeys.push_back(i.row(b[1])[2]);
+  ASSERT_FALSE(std::is_sorted(secondKeys.begin(), secondKeys.end()));
+  std::uint64_t secondHits = 0;
+  const auto three = nestedLoop(
+      two, p, 1, [&](const std::vector<RowId>& b) -> const Value& { return i.row(b[1])[2]; },
+      secondHits);
+  const auto chained =
+      exec_.query("SELECT o.id, i.id, p.id FROM o JOIN i ON i.k = o.k JOIN p ON p.k = i.v");
+  EXPECT_EQ(chained.resultSet.rows, idsOf(three));
+  EXPECT_EQ(chained.stats.rowsExamined, o.size() + hits + secondHits);
+  EXPECT_EQ(chained.stats.bytesExamined, o.size() * o.avgRowBytes() + hits * i.avgRowBytes() +
+                                             secondHits * p.avgRowBytes());
+}
+
 TEST(RollbackTest, RestoresEveryObservableOfTheCheckpoint) {
   const Database prototype = rollbackPrototype();
   for (std::uint64_t seed = 1; seed <= 30; ++seed) {

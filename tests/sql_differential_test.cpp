@@ -979,25 +979,30 @@ GenCase genJoin(Rand& rng, const World& w) {
     g.sql += (where ? " AND " : " WHERE ") + q(1, "d") + " > " +
              scalarFor(rng, "d", g.params);
   }
+  // The engine's candidates come in the reference's nested-loop order: the
+  // planner keeps FROM order, the base access is a full scan or an index
+  // equality (both in RowId order), and every join step yields a key's rows
+  // in RowId order. So the order compares exactly, with or without ORDER
+  // BY, and a tie left to candidate order compares too.
   if (chance(rng, 50)) {
-    // Binding tuples are unique, so ordering by every table's pk is total.
-    // A non-key column may lead, but the pks still close the list: the
-    // engine's join candidate order is not the reference's, so a tie left
-    // to candidate order would not compare equal.
     g.sql += " ORDER BY ";
+    std::string lead;
     switch (pick(rng, 4)) {
-      case 0: g.sql += q(1, "b") + " DESC, "; break;
-      case 1: g.sql += q(0, "d") + ", "; break;
+      case 0: lead = q(1, "b") + " DESC"; break;
+      case 1: lead = q(0, "d"); break;
       default: break;
     }
-    g.sql += q(0, "id") + ", " + q(1, "id");
-    if (nJoined == 3) g.sql += ", " + q(2, "id");
+    g.sql += lead;
+    // Binding tuples are unique, so closing with every table's pk makes the
+    // order total.
+    if (lead.empty() || chance(rng, 50)) {
+      g.sql += (lead.empty() ? "" : ", ") + q(0, "id") + ", " + q(1, "id");
+      if (nJoined == 3) g.sql += ", " + q(2, "id");
+    }
     if (chance(rng, 50)) {
       g.sql += " LIMIT " + std::to_string(1 + pick(rng, 12));
       if (chance(rng, 40)) g.sql += " OFFSET " + std::to_string(pick(rng, 8));
     }
-  } else {
-    g.exactOrder = false;
   }
   return g;
 }
