@@ -90,6 +90,7 @@ void createSchema(db::Database& database) {
 }
 
 void populate(db::Database& database, const Scale& scale, sim::Rng& rng) {
+  database.disableKeys();
   Table& categories = database.table("categories");
   for (int i = 1; i <= scale.categories; ++i) {
     categories.insert({Value(i), Value("category" + std::to_string(i))});
@@ -168,6 +169,7 @@ void populate(db::Database& database, const Scale& scale, sim::Rng& rng) {
   Table& ids = database.table("ids");
   ids.insert({Value("users"), Value(userCount + 1)});
   ids.insert({Value("items"), Value(scale.activeItems + 1)});
+  database.enableKeys();
 }
 
 }  // namespace mwsim::apps::auction

@@ -73,6 +73,7 @@ void createSchema(db::Database& database) {
 }
 
 void populate(db::Database& database, const Scale& scale, sim::Rng& rng) {
+  database.disableKeys();
   Table& categories = database.table("categories");
   for (int i = 1; i <= scale.categories; ++i) {
     categories.insert({Value(i), Value("topic" + std::to_string(i))});
@@ -116,6 +117,7 @@ void populate(db::Database& database, const Scale& scale, sim::Rng& rng) {
               scale.activeStories, 7970, 8000);
   fillStories(database.table("old_stories"), database.table("old_comments"),
               scale.oldStories(), 7000, 7969);
+  database.enableKeys();
 }
 
 }  // namespace mwsim::apps::bbs

@@ -97,6 +97,7 @@ void createSchema(db::Database& database) {
 void populate(db::Database& database, const Scale& scale, sim::Rng& rng) {
   // Data generation goes straight through Table::insert: populating ~1M
   // rows through the SQL layer would only re-parse the same statements.
+  database.disableKeys();
   Table& countries = database.table("countries");
   for (std::int64_t i = 1; i <= scale.countries; ++i) {
     countries.insert({Value(i), Value("country" + std::to_string(i))});
@@ -169,6 +170,7 @@ void populate(db::Database& database, const Scale& scale, sim::Rng& rng) {
                        Value(std::to_string(4'000'000'000'000'000 + o)),
                        Value(rng.uniformInt(5000, 6000)), Value(rng.randomString(12))});
   }
+  database.enableKeys();
 }
 
 }  // namespace mwsim::apps::bookstore

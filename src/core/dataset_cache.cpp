@@ -44,8 +44,9 @@ db::Database buildPrototype(App app, double scale, std::uint64_t dataSeed) {
 }
 
 /// Throws unless every table of `copy` matches `prototype` in row slots,
-/// live rows, bytes and auto-increment state: a cheap guard, run before a
-/// rolled-back copy is pooled, that the rollback restored the prototype.
+/// live rows, bytes, auto-increment state and the sizes of its pk and
+/// secondary indexes: a cheap guard, run before a rolled-back copy is
+/// pooled, that the rollback restored the prototype.
 void checkRolledBack(const db::Database& copy, const db::Database& prototype) {
   if (copy.tableNames() != prototype.tableNames()) {
     throw std::logic_error("dataset copy's tables differ from its prototype's");
@@ -53,9 +54,13 @@ void checkRolledBack(const db::Database& copy, const db::Database& prototype) {
   for (const std::string& name : prototype.tableNames()) {
     const db::Table& a = copy.table(name);
     const db::Table& b = prototype.table(name);
-    if (a.rowSlots() != b.rowSlots() || a.size() != b.size() ||
-        a.approxBytes() != b.approxBytes() || a.maxAssignedId() != b.maxAssignedId() ||
-        a.lastInsertId() != b.lastInsertId()) {
+    bool same = a.rowSlots() == b.rowSlots() && a.size() == b.size() &&
+                a.approxBytes() == b.approxBytes() && a.maxAssignedId() == b.maxAssignedId() &&
+                a.lastInsertId() == b.lastInsertId() && a.pkIndexSize() == b.pkIndexSize();
+    for (const std::size_t c : b.schema().secondaryIndexes) {
+      same = same && a.orderedIndex(c)->size() == b.orderedIndex(c)->size();
+    }
+    if (!same) {
       throw std::logic_error("dataset copy's table " + name +
                              " did not roll back to its prototype");
     }

@@ -43,6 +43,17 @@ class Database {
     for (auto& [_, t] : tables_) t->rollback();
   }
 
+  /// Table::disableKeys() on every table: the start of a bulk load.
+  void disableKeys() {
+    for (auto& [_, t] : tables_) t->disableKeys();
+  }
+
+  /// Table::enableKeys() on every table: the end of a bulk load, which
+  /// builds every secondary index by one sort.
+  void enableKeys() {
+    for (auto& [_, t] : tables_) t->enableKeys();
+  }
+
   Table& createTable(TableSchema schema) {
     const std::string name = schema.name;
     mixSchema(schema);

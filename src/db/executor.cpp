@@ -51,8 +51,8 @@ namespace {
 
 /// Row source over one row of the driving table (all refs have tableIdx 0).
 struct SingleRow {
-  const Row* row;
-  const Value& at(const PlanColumnRef& ref) const { return (*row)[ref.columnIdx]; }
+  std::span<const Value> row;
+  const Value& at(const PlanColumnRef& ref) const { return row[ref.columnIdx]; }
 };
 
 /// Row source over one flat binding: one RowId per bound table.
@@ -591,7 +591,7 @@ class SelectExec {
           p_.limit ? std::optional<std::size_t>(offset + static_cast<std::size_t>(*p_.limit))
                    : std::nullopt;
       scanAccess(p_.access, table, params_, stats_, [&](RowId id) {
-        const SingleRow src{&table.row(id)};
+        const SingleRow src{table.row(id)};
         if (!passesFilters(src)) return true;
         Row out = project(src);
         for (const Row& kept : uniques) {
@@ -613,7 +613,7 @@ class SelectExec {
     // never examined, and never charged.
     std::size_t skipped = 0;
     scanAccess(p_.access, table, params_, stats_, [&](RowId id) {
-      const SingleRow src{&table.row(id)};
+      const SingleRow src{table.row(id)};
       if (!passesFilters(src)) return true;
       if (skipped < offset) {
         ++skipped;
@@ -634,7 +634,7 @@ class SelectExec {
     std::vector<RowId> flat;
     std::size_t stride = 1;
     scanAccess(p_.access, *tables_[0], params_, stats_, [&](RowId id) {
-      const SingleRow src{&tables_[0]->row(id)};
+      const SingleRow src{tables_[0]->row(id)};
       for (const auto& c : p_.baseFilter) {
         if (!valueIsTrue(evalExpr(*c, params_, src))) return true;
       }
@@ -987,7 +987,7 @@ std::vector<RowId> writeMatches(const Table& table, const AccessPath& access,
                                 std::span<const Value> params, ExecStats& stats) {
   std::vector<RowId> out;
   scanAccess(access, table, params, stats, [&](RowId id) {
-    const SingleRow src{&table.row(id)};
+    const SingleRow src{table.row(id)};
     for (const auto& c : residual) {
       if (!valueIsTrue(evalExpr(*c, params, src))) return true;
     }
@@ -1035,7 +1035,7 @@ ExecResult executeUpdate(Database& db, const UpdatePlan& p, std::span<const Valu
       writeMatches(table, p.access, p.residual, params, result.stats), p.limit, p.offset);
   for (RowId id : matches) {
     // Evaluate every assignment against the pre-update row, then apply.
-    const SingleRow src{&table.row(id)};
+    const SingleRow src{table.row(id)};
     std::vector<Value> newValues;
     newValues.reserve(p.sets.size());
     for (const auto& t : p.sets) {

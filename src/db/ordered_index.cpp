@@ -1,6 +1,7 @@
 #include "db/ordered_index.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <numeric>
 #include <stdexcept>
 
@@ -118,6 +119,22 @@ void OrderedIndex::split(std::size_t leaf) {
   // The upper leaf takes over the old fence.
   fences_.insert(fences_.begin() + static_cast<std::ptrdiff_t>(leaf), full.entries.back());
   leaves_.insert(leaves_.begin() + static_cast<std::ptrdiff_t>(leaf) + 1, std::move(upper));
+}
+
+void OrderedIndex::assign(std::vector<IndexEntry> entries) {
+  leaves_.clear();
+  fences_.clear();
+  size_ = entries.size();
+  constexpr auto kFill = static_cast<std::ptrdiff_t>(kBulkLeafFill);
+  for (auto first = entries.begin(); first != entries.end();) {
+    const auto last = first + std::min(kFill, entries.end() - first);
+    Leaf& leaf = leaves_.emplace_back();
+    leaf.entries.assign(std::make_move_iterator(first), std::make_move_iterator(last));
+    leaf.order.resize(leaf.entries.size());
+    std::iota(leaf.order.begin(), leaf.order.end(), std::uint16_t{0});
+    fences_.push_back(leaf.entries.back());
+    first = last;
+  }
 }
 
 void OrderedIndex::appendLeaf(const Value& key, RowId id) {

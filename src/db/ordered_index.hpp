@@ -32,6 +32,10 @@ struct IndexEntry {
 class OrderedIndex {
  public:
   static constexpr std::size_t kLeafCapacity = 256;
+  /// Entries per leaf in an index built by assign(): about what inserts in
+  /// random order leave, so later inserts find room where full leaves
+  /// would split on the first insert into each.
+  static constexpr std::size_t kBulkLeafFill = kLeafCapacity * 3 / 4;
 
   struct Leaf {
     Leaf() = default;
@@ -110,6 +114,10 @@ class OrderedIndex {
   /// The last entry in index order. The index must not be empty.
   const IndexEntry& back() const { return fences_.back(); }
 
+  /// Replaces the content by `entries`, which must be in index order:
+  /// leaves of kBulkLeafFill entries, written front to back. The bulk path
+  /// of Table::enableKeys().
+  void assign(std::vector<IndexEntry> entries);
   /// Adds the entry (key, id) at its place.
   void insert(const Value& key, RowId id);
   /// Removes the entry (key, id). Throws std::logic_error when the index

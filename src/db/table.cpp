@@ -1,12 +1,14 @@
 #include "db/table.hpp"
 
+#include <algorithm>
+#include <iterator>
 #include <stdexcept>
 
 namespace mwsim::db {
 
 namespace {
 
-std::size_t rowBytes(const Row& row) {
+std::size_t rowBytes(std::span<const Value> row) {
   std::size_t n = 0;
   for (const Value& v : row) n += v.byteSize() + 8;
   return n;
@@ -14,11 +16,42 @@ std::size_t rowBytes(const Row& row) {
 
 }  // namespace
 
-Table::Table(TableSchema schema) : schema_(std::move(schema)) {
+Table::Pages::Pages(const Pages& other) : width_(other.width_), size_(other.size_) {
+  pages_.reserve(other.pages_.size());
+  for (const std::vector<Value>& page : other.pages_) {
+    pages_.emplace_back().reserve(kPageRows * width_);
+    pages_.back().insert(pages_.back().end(), page.begin(), page.end());
+  }
+}
+
+void Table::Pages::append(Row&& row) {
+  if (size_ % kPageRows == 0) pages_.emplace_back().reserve(kPageRows * width_);
+  std::vector<Value>& page = pages_.back();
+  page.insert(page.end(), std::make_move_iterator(row.begin()),
+              std::make_move_iterator(row.end()));
+  ++size_;
+}
+
+void Table::Pages::popBack() {
+  if (--size_ % kPageRows == 0) {
+    pages_.pop_back();
+    return;
+  }
+  std::vector<Value>& page = pages_.back();
+  page.erase(page.end() - static_cast<std::ptrdiff_t>(width_), page.end());
+}
+
+Table::Table(TableSchema schema) : schema_(std::move(schema)), rows_(schema_.columns.size()) {
   for (std::size_t c : schema_.secondaryIndexes) secondary_.try_emplace(c);
 }
 
+void Table::throwKeysDisabled(const char* call) const {
+  throw std::logic_error(std::string(call) + " on " + schema_.name +
+                         " while its keys are disabled");
+}
+
 void Table::checkpoint() {
+  requireKeys("checkpoint");
   logging_ = true;
   undo_.clear();
 }
@@ -26,6 +59,49 @@ void Table::checkpoint() {
 void Table::rollback() {
   for (auto it = undo_.rbegin(); it != undo_.rend(); ++it) undo(*it);
   undo_.clear();
+}
+
+void Table::disableKeys() {
+  if (logging_) {
+    throw std::logic_error("disableKeys on " + schema_.name + " after a checkpoint");
+  }
+  keysDisabled_ = true;
+}
+
+void Table::enableKeys() {
+  if (!keysDisabled_) return;
+  for (auto& [column, index] : secondary_) index.assign(sortedEntries(column));
+  keysDisabled_ = false;
+}
+
+// Entries are gathered in RowId order and sorted by (key, RowId), the index
+// order, so the sort needs no stability. An all-int column sorts 16-byte
+// pairs instead of Values.
+std::vector<IndexEntry> Table::sortedEntries(std::size_t column) const {
+  std::vector<IndexEntry> entries;
+  entries.reserve(liveRows_);
+  bool allInt = true;
+  forEachRow([&](RowId id) { allInt = allInt && rows_.row(id)[column].isInt(); });
+  if (allInt) {
+    struct IntEntry {
+      std::int64_t key;
+      RowId id;
+    };
+    std::vector<IntEntry> ints;
+    ints.reserve(liveRows_);
+    forEachRow([&](RowId id) { ints.push_back({rows_.row(id)[column].asInt(), id}); });
+    std::sort(ints.begin(), ints.end(), [](const IntEntry& a, const IntEntry& b) {
+      return a.key < b.key || (a.key == b.key && a.id < b.id);
+    });
+    for (const IntEntry& e : ints) entries.push_back({Value(e.key), e.id});
+  } else {
+    forEachRow([&](RowId id) { entries.push_back({rows_.row(id)[column], id}); });
+    std::sort(entries.begin(), entries.end(), [](const IndexEntry& a, const IndexEntry& b) {
+      const int c = a.key.compare(b.key);
+      return c < 0 || (c == 0 && a.id < b.id);
+    });
+  }
+  return entries;
 }
 
 std::int64_t Table::insert(Row row) {
@@ -51,7 +127,7 @@ std::int64_t Table::insert(Row row) {
     } else if (key.isInt() && key.asInt() >= nextAutoId_) {
       nextAutoId_ = key.asInt() + 1;
     }
-    if (pkIndex_.contains(key)) {
+    if (pk_.find(key, pkKeyOf())) {
       throw std::runtime_error("duplicate primary key in " + schema_.name + ": " +
                                key.toDisplayString());
     }
@@ -60,7 +136,7 @@ std::int64_t Table::insert(Row row) {
   }
   const RowId id = static_cast<RowId>(rows_.size());
   approxBytes_ += rowBytes(row);
-  rows_.push_back(std::move(row));
+  rows_.append(std::move(row));
   tombstone_.push_back(false);
   ++liveRows_;
   indexInsert(id);
@@ -70,60 +146,61 @@ std::int64_t Table::insert(Row row) {
 
 std::optional<RowId> Table::findByPk(const Value& key) const {
   if (!schema_.primaryKey) return std::nullopt;
-  auto it = pkIndex_.find(key);
-  if (it == pkIndex_.end()) return std::nullopt;
-  return it->second;
+  return pk_.find(key, pkKeyOf());
 }
 
 bool Table::hasIndexOn(std::size_t column) const {
   return secondary_.contains(column);
 }
 
+// The pk index reads its keys from the cells, so the old key leaves it while
+// the cell still holds it, and the new key enters once the cell holds it.
 void Table::updateCell(RowId id, std::size_t column, Value v) {
+  requireKeys("updateCell");
   if (!isLive(id)) throw std::runtime_error("update of dead row");
-  Row& row = rows_[id];
+  Value& cell = rows_.cell(id, column);
   const bool pkCol = isPrimaryKeyColumn(column);
   if (pkCol) {
-    if (row[column] == v) return;
-    if (pkIndex_.contains(v)) {
+    if (cell == v) return;
+    if (pk_.find(v, pkKeyOf())) {
       throw std::runtime_error("duplicate primary key on update in " + schema_.name);
     }
-    pkIndex_.erase(row[column]);
-    pkIndex_.emplace(v, id);
+    pk_.erase(id, pkKeyOf());
   }
   if (auto sec = secondary_.find(column); sec != secondary_.end()) {
-    sec->second.erase(row[column], id);
+    sec->second.erase(cell, id);
     sec->second.insert(v, id);
   }
-  approxBytes_ -= row[column].byteSize();
+  approxBytes_ -= cell.byteSize();
   approxBytes_ += v.byteSize();
   if (logging_) {
-    undo_.push_back({.kind = Undo::Kind::Update,
-                     .id = id,
-                     .column = column,
-                     .old = std::move(row[column])});
+    undo_.push_back(
+        {.kind = Undo::Kind::Update, .id = id, .column = column, .old = std::move(cell)});
   }
-  row[column] = std::move(v);
+  cell = std::move(v);
+  if (pkCol) pk_.insert(id, pkKeyOf());
 }
 
 void Table::erase(RowId id) {
+  requireKeys("erase");
   if (!isLive(id)) return;
   indexErase(id);
-  approxBytes_ -= rowBytes(rows_[id]);
+  approxBytes_ -= rowBytes(rows_.row(id));
   tombstone_[id] = true;
   --liveRows_;
   if (logging_) undo_.push_back({.kind = Undo::Kind::Erase, .id = id});
 }
 
 void Table::indexInsert(RowId id) {
-  const Row& row = rows_[id];
-  if (schema_.primaryKey) pkIndex_.emplace(row[*schema_.primaryKey], id);
+  if (schema_.primaryKey) pk_.insert(id, pkKeyOf());
+  if (keysDisabled_) return;
+  const std::span<const Value> row = rows_.row(id);
   for (auto& [col, index] : secondary_) index.insert(row[col], id);
 }
 
 void Table::indexErase(RowId id) {
-  const Row& row = rows_[id];
-  if (schema_.primaryKey) pkIndex_.erase(row[*schema_.primaryKey]);
+  if (schema_.primaryKey) pk_.erase(id, pkKeyOf());
+  const std::span<const Value> row = rows_.row(id);
   for (auto& [col, index] : secondary_) index.erase(row[col], id);
 }
 
@@ -138,17 +215,15 @@ void Table::undo(Undo& u) {
       return;
     case Undo::Kind::Append:
       indexErase(u.id);
-      approxBytes_ -= rowBytes(rows_.back());
-      rows_.pop_back();
+      approxBytes_ -= rowBytes(rows_.row(u.id));
+      rows_.popBack();
       tombstone_.pop_back();
       --liveRows_;
       return;
     case Undo::Kind::Update: {
-      Value& cell = rows_[u.id][u.column];
-      if (isPrimaryKeyColumn(u.column)) {
-        pkIndex_.erase(cell);
-        pkIndex_.emplace(u.old, u.id);
-      }
+      Value& cell = rows_.cell(u.id, u.column);
+      const bool pkCol = isPrimaryKeyColumn(u.column);
+      if (pkCol) pk_.erase(u.id, pkKeyOf());
       if (auto sec = secondary_.find(u.column); sec != secondary_.end()) {
         sec->second.erase(cell, u.id);
         sec->second.insert(u.old, u.id);
@@ -156,11 +231,12 @@ void Table::undo(Undo& u) {
       approxBytes_ -= cell.byteSize();
       approxBytes_ += u.old.byteSize();
       cell = std::move(u.old);
+      if (pkCol) pk_.insert(u.id, pkKeyOf());
       return;
     }
     case Undo::Kind::Erase:
       indexInsert(u.id);
-      approxBytes_ += rowBytes(rows_[u.id]);
+      approxBytes_ += rowBytes(rows_.row(u.id));
       tombstone_[u.id] = false;
       ++liveRows_;
       return;

@@ -64,8 +64,4 @@ class Value {
   std::variant<std::monostate, std::int64_t, double, std::string> v_;
 };
 
-struct ValueHash {
-  std::size_t operator()(const Value& v) const { return v.hash(); }
-};
-
 }  // namespace mwsim::db

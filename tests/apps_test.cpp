@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "apps/auction/auction.hpp"
 #include "apps/auction/auction_ejb.hpp"
@@ -11,6 +12,7 @@
 #include "apps/bookstore/bookstore_ejb.hpp"
 #include "apps/bookstore/schema.hpp"
 #include "middleware/ejb.hpp"
+#include "table_equality.hpp"
 
 namespace mwsim {
 namespace {
@@ -18,6 +20,27 @@ namespace {
 using apps::auction::AuctionLogic;
 using apps::bookstore::BookstoreLogic;
 using sim::Task;
+
+/// Inserts every row of `populated`, one at a time with the keys on, into a
+/// fresh database of the same schema, and expects each table to equal the
+/// one populate() loaded with its keys disabled and then built by sorting.
+void expectBulkLoadMatchesInserts(const db::Database& populated,
+                                  void (*createSchema)(db::Database&)) {
+  db::Database inserted;
+  createSchema(inserted);
+  ASSERT_EQ(inserted.tableNames(), populated.tableNames());
+  for (const std::string& name : populated.tableNames()) {
+    SCOPED_TRACE("table " + name);
+    const db::Table& from = populated.table(name);
+    db::Table& to = inserted.table(name);
+    ASSERT_EQ(from.size(), from.rowSlots()) << "populate erases nothing";
+    for (db::RowId id = 0; id < from.rowSlots(); ++id) {
+      const auto row = from.row(id);
+      to.insert(db::Row(row.begin(), row.end()));
+    }
+    db::expectSameTable(from, to);
+  }
+}
 
 // ----------------------------------------------------------- bookstore data
 
@@ -63,6 +86,10 @@ TEST_F(BookstoreDataTest, ForeignKeysResolve) {
   auto items = exec.query(
       "SELECT COUNT(*) AS n FROM items i JOIN authors a ON i.i_a_id = a.a_id");
   EXPECT_EQ(items.resultSet.intAt(0, "n"), 10'000);
+}
+
+TEST_F(BookstoreDataTest, BulkLoadMatchesInsertsOneAtATime) {
+  expectBulkLoadMatchesInserts(db_, apps::bookstore::createSchema);
 }
 
 TEST_F(BookstoreDataTest, FullScaleMatchesPaper) {
@@ -112,6 +139,10 @@ TEST_F(AuctionDataTest, PaperScaleCounts) {
   EXPECT_EQ(db_.table("old_items").size(), 5'000u);
   EXPECT_EQ(db_.table("bids").size(), 330'000u);
   EXPECT_EQ(db_.table("comments").size(), 5'000u);
+}
+
+TEST_F(AuctionDataTest, BulkLoadMatchesInsertsOneAtATime) {
+  expectBulkLoadMatchesInserts(db_, apps::auction::createSchema);
 }
 
 TEST_F(AuctionDataTest, FullScaleMatchesPaper) {
@@ -489,6 +520,16 @@ TEST(BbsDataTest, TablesAndScale) {
   EXPECT_EQ(db.table("users").size(), 5'000u);
   EXPECT_EQ(db.table("old_stories").size(), 2'000u);
   EXPECT_GT(db.table("comments").size(), 10'000u);  // ~10/story average
+}
+
+TEST(BbsDataTest, BulkLoadMatchesInsertsOneAtATime) {
+  db::Database db;
+  apps::bbs::Scale scale;
+  scale.historyScale = 0.01;
+  apps::bbs::createSchema(db);
+  sim::Rng rng(3);
+  apps::bbs::populate(db, scale, rng);
+  expectBulkLoadMatchesInserts(db, apps::bbs::createSchema);
 }
 
 TEST(BbsMixTest, SubmissionMixHasModestWrites) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <map>
 #include <optional>
 #include <random>
 #include <stdexcept>
@@ -12,6 +13,7 @@
 #include "db/executor.hpp"
 #include "db/lexer.hpp"
 #include "db/parser.hpp"
+#include "table_equality.hpp"
 
 namespace mwsim::db {
 namespace {
@@ -155,49 +157,6 @@ TEST(TableTest, EraseRemovesFromIndexes) {
 }
 
 // ---------------------------------------------------------------- Rollback
-
-/// Equal values of the same type (Value's == equates 1 and 1.0).
-bool sameValue(const Value& a, const Value& b) {
-  return a.isNull() == b.isNull() && a.isInt() == b.isInt() &&
-         a.isDouble() == b.isDouble() && a.compare(b) == 0;
-}
-
-/// Every observable of two tables: rows with their value types and
-/// liveness, the (key, RowId) order of every secondary index, pk lookups,
-/// and the counters.
-void expectSameTable(const Table& a, const Table& b) {
-  ASSERT_EQ(a.rowSlots(), b.rowSlots());
-  for (RowId id = 0; id < a.rowSlots(); ++id) {
-    ASSERT_EQ(a.isLive(id), b.isLive(id)) << "row " << id;
-    ASSERT_EQ(a.row(id).size(), b.row(id).size());
-    for (std::size_t c = 0; c < a.row(id).size(); ++c) {
-      EXPECT_TRUE(sameValue(a.row(id)[c], b.row(id)[c])) << "row " << id << " column " << c;
-    }
-  }
-  for (const std::size_t c : a.schema().secondaryIndexes) {
-    const OrderedIndex& ia = *a.orderedIndex(c);
-    const OrderedIndex& ib = *b.orderedIndex(c);
-    ASSERT_EQ(ia.size(), ib.size()) << "index on column " << c;
-    for (auto x = ia.begin(), y = ib.begin(); x != ia.end(); ++x, ++y) {
-      ASSERT_TRUE(sameValue(x->key, y->key) && x->id == y->id)
-          << "index on column " << c << " differs at key " << x->key.toDisplayString();
-    }
-  }
-  const std::size_t pk = *a.schema().primaryKey;
-  for (RowId id = 0; id < a.rowSlots(); ++id) {
-    for (const Table* t : {&a, &b}) {
-      const Value& key = t->row(id)[pk];
-      EXPECT_EQ(a.findByPk(key), b.findByPk(key)) << "pk " << key.toDisplayString();
-    }
-  }
-  for (std::int64_t k = 0; k <= std::max(a.maxAssignedId(), b.maxAssignedId()) + 1; ++k) {
-    EXPECT_EQ(a.findByPk(Value(k)), b.findByPk(Value(k))) << "pk " << k;
-  }
-  EXPECT_EQ(a.size(), b.size());
-  EXPECT_EQ(a.approxBytes(), b.approxBytes());
-  EXPECT_EQ(a.lastInsertId(), b.lastInsertId());
-  EXPECT_EQ(a.maxAssignedId(), b.maxAssignedId());
-}
 
 /// Auto-increment pk, an int and a string secondary index with long
 /// equal-key ranges, tombstones, and one row moved to another key.
@@ -437,6 +396,10 @@ TEST(OrderedIndexTest, MatchesASortedListAcrossLeaves) {
   }
   std::sort(expected.begin(), expected.end(), entryLess);
   expectSame();
+  // A bulk build from the sorted entries holds them too.
+  OrderedIndex assigned;
+  assigned.assign(expected);
+  expectIndexHolds(assigned, expected);
   // Appending past the last entry opens new leaves.
   for (RowId id = 3000; id < 3600; ++id) {
     const IndexEntry e{Value(1000), id};
@@ -502,6 +465,10 @@ TEST(OrderedIndexTest, HintedLowerBoundMatchesLowerBoundFromEveryHint) {
   add(Value("bb"), 1);
   ASSERT_EQ(loaded.size(), 532u);
   expectHintsAgree(loaded, keys);
+  // The same entries bulk-built, in leaves of 192.
+  OrderedIndex assigned;
+  assigned.assign(std::vector<IndexEntry>(loaded.begin(), loaded.end()));
+  expectHintsAgree(assigned, keys);
 
   // Random keys in random RowId order split leaves in the middle, leaving
   // leaves of every size.
@@ -640,6 +607,233 @@ TEST(RollbackTest, RestoresEveryObservableOfTheCheckpoint) {
     EXPECT_EQ(applyWrites(copy, seed + 1000), applyWrites(fresh, seed + 1000));
     expectSameTable(copy.table("t"), fresh.table("t"));
   }
+}
+
+// --------------------------------------------------------------- bulk load
+
+/// An int-only and a mixed secondary index, each with a key of more than
+/// 300 rows, so its entries cross leaves. The mixed column holds, through
+/// the Table API, ints, doubles (1.0 beside 1), NULLs and strings.
+TableSchema bulkSchema() {
+  return SchemaBuilder("bulk")
+      .intCol("id").primaryKey(/*autoIncrement=*/true)
+      .intCol("grp").indexed()
+      .stringCol("mixed").indexed()
+      .build();
+}
+
+std::vector<Row> bulkRows(std::size_t count, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<Row> rows;
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto k = static_cast<std::int64_t>(rng() % 40) - 5;
+    const Value grp = rng() % 5 < 2 ? Value(7) : Value(k);
+    Value mixed;
+    switch (rng() % 6) {
+      case 0: break;  // NULL
+      case 1: mixed = Value(k); break;
+      case 2: mixed = Value(static_cast<double>(k)); break;  // equals the int k
+      case 3: mixed = Value(static_cast<double>(k) + 0.5); break;
+      case 4: mixed = Value("s" + std::to_string(k)); break;
+      default: mixed = Value("hot"); break;
+    }
+    rows.push_back({Value(), grp, mixed});
+  }
+  return rows;
+}
+
+TEST(BulkLoadTest, EnableKeysBuildsWhatInsertsBuild) {
+  const std::vector<Row> rows = bulkRows(3000, 21);
+  Table inserted(bulkSchema());
+  Table bulk(bulkSchema());
+  // Rows erased before the keys go off must not come back into the indexes.
+  for (std::size_t i = 0; i < 1000; ++i) {
+    inserted.insert(rows[i]);
+    bulk.insert(rows[i]);
+  }
+  for (RowId id = 0; id < 1000; id += 7) {
+    inserted.erase(id);
+    bulk.erase(id);
+  }
+  bulk.disableKeys();
+  for (std::size_t i = 1000; i < rows.size(); ++i) {
+    inserted.insert(rows[i]);
+    bulk.insert(rows[i]);
+  }
+  bulk.enableKeys();
+  for (const std::size_t c : {1, 2}) {
+    ASSERT_GT(indexHits(bulk, c, c == 1 ? Value(7) : Value("hot")).size(), 300u);
+  }
+  expectSameTable(bulk, inserted);
+
+  // The built leaves take further writes as the inserted ones do.
+  const std::vector<Row> more = bulkRows(600, 22);
+  std::mt19937_64 rng(23);
+  for (const Row& row : more) {
+    inserted.insert(row);
+    bulk.insert(row);
+    const auto id = static_cast<RowId>(rng() % inserted.rowSlots());
+    if (inserted.isLive(id)) {
+      const Value grp(static_cast<std::int64_t>(rng() % 40));
+      inserted.updateCell(id, 1, grp);
+      bulk.updateCell(id, 1, grp);
+    }
+    const auto gone = static_cast<RowId>(rng() % inserted.rowSlots());
+    inserted.erase(gone);
+    bulk.erase(gone);
+  }
+  expectSameTable(bulk, inserted);
+}
+
+TEST(BulkLoadTest, KeysDisabledRejectsEveryIndexReadAndWrite) {
+  Database db;
+  Table& t = db.createTable(itemsSchema());
+  for (int i = 1; i <= 3; ++i) t.insert({Value(i), Value("x"), Value(i % 2), Value(1.0), Value(1)});
+  t.disableKeys();
+  EXPECT_THROW(t.orderedIndex(2), std::logic_error);
+  EXPECT_THROW(t.forEachIndexEq(2, Value(1), [](RowId) { return true; }), std::logic_error);
+  EXPECT_THROW(t.updateCell(0, 4, Value(5)), std::logic_error);  // an unindexed column too
+  EXPECT_THROW(t.erase(0), std::logic_error);
+  EXPECT_THROW(t.checkpoint(), std::logic_error);
+  EXPECT_THROW(t.clone(), std::logic_error);
+  EXPECT_THROW(db.clone(), std::logic_error);
+  EXPECT_THROW(db.checkpoint(), std::logic_error);
+  // Inserts go on, with the primary key kept.
+  t.insert({Value(), Value("y"), Value(1), Value(2.0), Value(2)});
+  EXPECT_EQ(t.findByPk(Value(4)), RowId{3});
+  EXPECT_THROW(t.insert({Value(2.0), Value("z"), Value(1), Value(1.0), Value(1)}),
+               std::runtime_error);
+  t.enableKeys();
+  EXPECT_EQ(indexHits(t, 2, Value(1)), (std::vector<RowId>{0, 2, 3}));
+  t.checkpoint();
+  EXPECT_THROW(t.disableKeys(), std::logic_error);
+}
+
+TEST(BulkLoadTest, DisablingAndEnablingKeysLeavesAPopulatedTableAsItWas) {
+  const Database prototype = rollbackPrototype();
+  Database copy = prototype.clone();
+  copy.disableKeys();
+  copy.enableKeys();
+  copy.enableKeys();  // does nothing while keys are on
+  expectSameTable(copy.table("t"), prototype.table("t"));
+  Database fresh = prototype.clone();
+  EXPECT_EQ(applyWrites(copy, 5), applyWrites(fresh, 5));
+  expectSameTable(copy.table("t"), fresh.table("t"));
+}
+
+// ---------------------------------------------------------------- pk index
+
+/// `count` int keys from `from` up whose probes all start at one slot of
+/// any PkIndex of at most `capacity` slots: a home slot is the top bits of
+/// a mix of the key's hash, so keys that share one at the largest capacity
+/// share one at every smaller capacity too.
+std::vector<std::int64_t> keysSharingAHome(std::int64_t from, std::size_t count,
+                                           std::size_t capacity) {
+  PkIndex probe;
+  const auto self = [](RowId id) { return Value(static_cast<std::int64_t>(id)); };
+  for (RowId id = 0; id < capacity / 2; ++id) probe.insert(id, self);
+  EXPECT_EQ(probe.capacity(), capacity);
+  std::vector<std::int64_t> keys = {from};
+  for (std::int64_t k = from + 1; keys.size() < count; ++k) {
+    if (probe.home(Value(k)) == probe.home(Value(from))) keys.push_back(k);
+  }
+  return keys;
+}
+
+TEST(PkIndexTest, MatchesAMapThroughWritesCheckpointsAndRollbacks) {
+  Table t(SchemaBuilder("k").intCol("id").primaryKey(/*autoIncrement=*/true).intCol("v").build());
+  // Candidate keys: runs that share a home slot, small ints, the same
+  // numbers as doubles (1.0 is the key 1), non-integral doubles and strings.
+  std::vector<Value> pool;
+  for (const std::int64_t from : {100'000, 200'000, 300'000}) {
+    for (const std::int64_t k : keysSharingAHome(from, 12, 16384)) pool.emplace_back(k);
+  }
+  for (int k = 0; k < 40; ++k) {
+    pool.emplace_back(k);
+    pool.emplace_back(static_cast<double>(k));
+    pool.emplace_back(k + 0.5);
+    pool.emplace_back("s" + std::to_string(k));
+  }
+  std::map<Value, RowId> model;  // Value's < equates 1 and 1.0
+  std::map<Value, RowId> atCheckpoint;
+  bool checkpointed = false;
+  std::mt19937_64 rng(31);
+  const auto pick = [&](std::size_t n) { return static_cast<std::size_t>(rng() % n); };
+  const auto liveRow = [&]() -> std::optional<RowId> {
+    if (model.empty()) return std::nullopt;
+    return std::next(model.begin(), static_cast<std::ptrdiff_t>(pick(model.size())))->second;
+  };
+  const auto expectMatches = [&](bool everyKey) {
+    ASSERT_EQ(t.pkIndexSize(), model.size());
+    ASSERT_EQ(t.size(), model.size());
+    for (int i = 0; i < 8; ++i) {
+      const Value& key = pool[pick(pool.size())];
+      const auto it = model.find(key);
+      ASSERT_EQ(t.findByPk(key), it == model.end() ? std::nullopt : std::optional(it->second))
+          << "pk " << key.toDisplayString();
+    }
+    if (!everyKey) return;
+    for (const auto& [key, id] : model) {
+      ASSERT_EQ(t.findByPk(key), id) << "pk " << key.toDisplayString();
+      ASSERT_TRUE(t.row(id)[0] == key);
+    }
+  };
+
+  std::size_t peakSize = 0;
+  for (int step = 0; step < 12'000; ++step) {
+    // Inserts outnumber erases in the first half, so the index doubles
+    // several times, and erases outnumber inserts in the second.
+    const std::size_t inserts = step < 6'000 ? 65 : 30;
+    const std::size_t erases = step < 6'000 ? 5 : 40;
+    const std::size_t op = pick(100);
+    if (op < inserts) {
+      // Three in four inserts take an auto-increment key.
+      const Value key = pick(4) == 0 ? pool[pick(pool.size())] : Value();
+      if (model.contains(key)) {
+        EXPECT_THROW(t.insert({key, Value(step)}), std::runtime_error);
+        continue;
+      }
+      try {
+        const std::int64_t assigned = t.insert({key, Value(step)});
+        model.emplace(key.isNull() ? Value(assigned) : key, static_cast<RowId>(t.rowSlots() - 1));
+      } catch (const std::runtime_error&) {
+        // An auto-increment key that a pk update already took.
+        EXPECT_TRUE(key.isNull() && model.contains(Value(t.maxAssignedId())));
+      }
+    } else if (op < inserts + erases) {
+      if (const auto id = liveRow()) {
+        model.erase(t.row(*id)[0]);
+        t.erase(*id);
+      }
+    } else if (op < 78) {
+      if (const auto id = liveRow()) {
+        const Value key = pool[pick(pool.size())];
+        const Value old = t.row(*id)[0];
+        if (key == old) {
+          t.updateCell(*id, 0, key);  // the same key: nothing changes
+        } else if (model.contains(key)) {
+          EXPECT_THROW(t.updateCell(*id, 0, key), std::runtime_error);
+        } else {
+          t.updateCell(*id, 0, key);
+          model.erase(old);
+          model.emplace(key, *id);
+        }
+      }
+    } else if (op == 78) {
+      t.checkpoint();
+      atCheckpoint = model;
+      checkpointed = true;
+    } else if (op == 79 && checkpointed) {
+      t.rollback();
+      model = atCheckpoint;
+    }
+    peakSize = std::max(peakSize, model.size());
+    expectMatches(step % 100 == 0);
+    if (testing::Test::HasFatalFailure()) return;
+  }
+  expectMatches(true);
+  // Past 1,024 keys the index holds 4,096 slots: eight doublings from 16.
+  EXPECT_GT(peakSize, 1'100u);
 }
 
 // ------------------------------------------------------------------- Lexer

@@ -17,6 +17,7 @@
 #include <map>
 #include <optional>
 #include <random>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -310,7 +311,7 @@ RefResult refSelect(db::Database& dbase, const db::SelectStmt& s,
     // every bound table, in table order.
     std::vector<Value> starValues;
     for (std::size_t t = 0; t < ev.srcs().size(); ++t) {
-      const Row& src = ev.srcs()[t].table->row(ids[t]);
+      const std::span<const Value> src = ev.srcs()[t].table->row(ids[t]);
       starValues.insert(starValues.end(), src.begin(), src.end());
     }
     Row r;
@@ -581,7 +582,10 @@ void expectRowsEqual(const std::vector<Row>& expected, const std::vector<Row>& a
 
 std::vector<std::pair<RowId, Row>> dumpTable(const Table& t) {
   std::vector<std::pair<RowId, Row>> out;
-  t.forEachRow([&](RowId id) { out.emplace_back(id, t.row(id)); });
+  t.forEachRow([&](RowId id) {
+    const std::span<const Value> row = t.row(id);
+    out.emplace_back(id, Row(row.begin(), row.end()));
+  });
   return out;
 }
 
